@@ -8,7 +8,7 @@ Subpackages and modules:
 * ``lines`` -- line triangulation, distances, covariances, Jacobians
 * ``sparse_map`` -- map data model, tile index, descriptor matching
 * ``ba`` -- Levenberg-Marquardt bundle adjustment
-* ``voma`` -- depth-image backprojection, normals, octree centroid map
+* ``voma`` -- depth-image backprojection, normals, voxel centroid map
 * ``harness`` -- synthetic scenes, experiments, metrics
 * ``cli`` -- command-line entry point
 """

@@ -48,3 +48,7 @@ class MapConsistencyError(PointlineError):
 
 class ConfigError(PointlineError):
     """Invalid harness configuration."""
+
+
+class MapperQueueFullError(PointlineError):
+    """Volumetric mapper queue is at capacity; integrate a batch before submitting more."""

@@ -25,7 +25,6 @@ from ..voma import (
     OctreeMap,
     VolumetricMapper,
     backproject_depth_image,
-    estimate_normals,
     extract_global_cloud,
     maps_equal,
     rebuild_on_adjustment,
@@ -208,7 +207,9 @@ def run_voma_pipeline(cfg: HarnessConfig):
         )
         cloud = backproject_depth_image(image, voma_intr)
         clouds.append((kf_id, cloud))
-        est = estimate_normals(image, voma_intr)
+        valid = np.isfinite(image.depths)
+        est = np.full(image.depths.shape + (3,), np.nan)
+        est[valid] = cloud.normals  # the per-pixel normals the cloud carries
         analytic_c = wall_normals_w @ pose.rotation.T  # world -> camera rows
         interior = np.all(np.isfinite(est), axis=-1)
         # the analytic reference only exists where the whole 4-neighborhood

@@ -1,5 +1,7 @@
 """Volumetric mapping: depth-image backprojection, incremental normals, and a
-fixed-resolution octree of running centroids (position, color, normal).
+fixed-resolution voxel map of running centroids (position, color, normal),
+kept as a flat table sorted by packed 63-bit cell key (``OctreeMap``, named
+for the octree it replaced), so every map operation is an array kernel.
 
 Keyframe clouds arrive through a bounded FIFO and are integrated N at a
 time; the whole map is rebuilt from the archived clouds whenever keyframe
@@ -8,12 +10,13 @@ poses change under a global adjustment.
 
 from __future__ import annotations
 
-import queue
+import hashlib
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PointlineError
+from .errors import MapperQueueFullError, PointlineError
 from .geometry import CameraIntrinsics, Se3Pose
 
 
@@ -139,38 +142,65 @@ def estimate_normals(image: DepthImage, intrinsics: CameraIntrinsics) -> np.ndar
     return out
 
 
-class _Branch:
-    __slots__ = ("children",)
+def _table_field(name: str) -> property:
+    def get(self):
+        return getattr(self._map, name)[np.searchsorted(self._map.keys, self._key)]
 
-    def __init__(self):
-        self.children: list = [None] * 8
+    def put(self, value):
+        getattr(self._map, name)[np.searchsorted(self._map.keys, self._key)] = value
+
+    return property(get, put)
 
 
-class _Cell:
-    __slots__ = ("position_sum", "color_sum", "normal_sum", "count")
+class _CellView:
+    """One stored cell of an ``OctreeMap``: its fields read from and write to
+    the map's table, wherever later insertions move the cell's row."""
 
-    def __init__(self):
-        self.position_sum = np.zeros(3)
-        self.color_sum = np.zeros(3)
-        self.normal_sum = np.zeros(3)
-        self.count = 0
+    __slots__ = ("_map", "_key")
+
+    def __init__(self, octree: OctreeMap, key: int):
+        self._map = octree
+        self._key = key
+
+    count = _table_field("count")
+    position_sum = _table_field("position_sum")
+    color_sum = _table_field("color_sum")
+    normal_sum = _table_field("normal_sum")
 
 
 class OctreeMap:
-    """Sparse octree over a world-origin-anchored grid of half-open cells.
+    """Sparse map over a world-origin-anchored grid of half-open cells.
 
     Cell (i, j, k) covers [i*res, (i+1)*res) x ... ; each stored cell keeps
-    running sums of the integrated world positions, colors, and normals.
+    running sums of the integrated world positions, colors, and normals. The
+    cells live in a flat table: ``keys`` holds the packed cell indices in
+    ascending order, and row ``r`` of ``count``, ``position_sum``,
+    ``color_sum`` and ``normal_sum`` belongs to ``keys[r]``. A key packs
+    ``(i+h, j+h, k+h)`` into ``depth`` bits per axis, so key order is the
+    lexicographic index order and ``3*depth`` may not exceed 63 bits.
     """
+
+    SUMS = ("position_sum", "color_sum", "normal_sum")
 
     def __init__(self, resolution: float, max_extent: float = 64.0):
         if resolution <= 0 or max_extent <= resolution:
             raise ValueError("need resolution > 0 and max_extent > resolution")
         self.resolution = resolution
         self.depth = int(np.ceil(np.log2(2.0 * max_extent / resolution)))
+        if 3 * self.depth > 63:
+            raise ValueError(
+                f"max_extent/resolution needs {self.depth} bits per axis; a 63-bit cell key holds 21"
+            )
         self.half_cells = 1 << (self.depth - 1)
-        self.root = _Branch()
-        self.n_cells = 0
+        self.keys = np.zeros(0, dtype=np.int64)
+        self.count = np.zeros(0, dtype=np.int64)
+        self.position_sum = np.zeros((0, 3))
+        self.color_sum = np.zeros((0, 3))
+        self.normal_sum = np.zeros((0, 3))
+
+    @property
+    def n_cells(self) -> int:
+        return len(self.keys)
 
     @property
     def root_half_extent(self) -> float:
@@ -183,127 +213,99 @@ class OctreeMap:
             raise PointlineError("point outside the octree root region")
         return idx
 
-    def _leaf(self, index, create: bool) -> _Cell | None:
-        o = (
-            int(index[0]) + self.half_cells,
-            int(index[1]) + self.half_cells,
-            int(index[2]) + self.half_cells,
-        )
-        node = self.root
-        for level in range(self.depth - 1, -1, -1):
-            child = (
-                (((o[0] >> level) & 1) << 2)
-                | (((o[1] >> level) & 1) << 1)
-                | ((o[2] >> level) & 1)
-            )
-            nxt = node.children[child]
-            if nxt is None:
-                if not create:
-                    return None
-                nxt = _Cell() if level == 0 else _Branch()
-                if level == 0:
-                    self.n_cells += 1
-                node.children[child] = nxt
-            node = nxt
-        return node
+    def _pack(self, index: np.ndarray) -> np.ndarray:
+        """Cell keys of ``(n, 3)`` in-range cell indices."""
+        o = index + self.half_cells
+        return (o[:, 0] << (2 * self.depth)) | (o[:, 1] << self.depth) | o[:, 2]
+
+    def indices(self) -> np.ndarray:
+        """``(n_cells, 3)`` cell indices of the stored cells, in key order."""
+        mask = (1 << self.depth) - 1
+        k = self.keys[:, None] >> np.array([2 * self.depth, self.depth, 0])
+        return (k & mask) - self.half_cells
+
+    def _rows(self, keys: np.ndarray) -> tuple[np.ndarray, int]:
+        """Table rows of sorted unique ``keys``, inserting the missing ones as
+        empty cells; returns the rows and the number of inserted cells."""
+        at = np.searchsorted(self.keys, keys)
+        inside = at < len(self.keys)
+        new = np.ones(len(keys), dtype=bool)
+        new[inside] = self.keys[at[inside]] != keys[inside]
+        rows = at + np.cumsum(new) - new  # shifted by the new keys sorting before
+        n_new = int(new.sum())
+        if n_new:
+            # each row of the grown table gathers its old row; new rows
+            # gather an appended zero row
+            source = np.full(len(self.keys) + n_new, len(self.keys))
+            kept = np.ones(len(source), dtype=bool)
+            kept[rows[new]] = False
+            source[kept] = np.arange(len(self.keys))
+            for name in ("keys", "count") + self.SUMS:
+                table = getattr(self, name)
+                zero = np.zeros((1,) + table.shape[1:], dtype=table.dtype)
+                setattr(self, name, np.concatenate([table, zero]).take(source, axis=0))
+            self.keys[rows[new]] = keys[new]
+        return rows, n_new
 
     def cells(self):
-        """Yield (index triple, cell) over stored cells, in index order."""
-        stack = [(self.root, self.depth - 1, 0, 0, 0)]
-        out = []
-
-        def visit(node, level, i, j, k):
-            for child in range(8):
-                sub = node.children[child]
-                if sub is None:
-                    continue
-                ci = (i << 1) | (child >> 2)
-                cj = (j << 1) | ((child >> 1) & 1)
-                ck = (k << 1) | (child & 1)
-                if level == 0:
-                    out.append(((ci - self.half_cells, cj - self.half_cells, ck - self.half_cells), sub))
-                else:
-                    visit(sub, level - 1, ci, cj, ck)
-
-        visit(self.root, self.depth - 1, 0, 0, 0)
-        out.sort(key=lambda item: item[0])
-        return out
+        """(index triple, cell view) over stored cells, in index order."""
+        return [
+            (tuple(index), _CellView(self, key))
+            for index, key in zip(self.indices().tolist(), self.keys.tolist())
+        ]
 
     def content_key(self) -> bytes:
-        """Digest of the stored cells; unchanged by read-only operations."""
-        import hashlib
+        """Digest of the stored cells; unchanged by read-only operations.
 
-        h = hashlib.sha256()
-        for index, cell in self.cells():
-            h.update(np.array(index, dtype=np.int64).tobytes())
-            h.update(cell.position_sum.tobytes())
-            h.update(cell.color_sum.tobytes())
-            h.update(cell.normal_sum.tobytes())
-            h.update(np.int64(cell.count).tobytes())
-        return h.digest()
+        Per cell, in index order: the index as three int64, the position,
+        color and normal sums as float64, and the count as int64.
+        """
+        sums = [getattr(self, name).view(np.int64) for name in self.SUMS]
+        table = np.concatenate([self.indices(), *sums, self.count[:, None]], axis=1)
+        return hashlib.sha256(table.tobytes()).digest()
 
 
 def integrate_cloud(octree: OctreeMap, cloud: PointCloud, pose: Se3Pose) -> dict[str, int]:
     """Fold a camera-frame cloud into the octree under the keyframe pose.
 
     ``pose`` is the world->camera transform of the source keyframe; points go
-    to the world frame through its inverse. Per-cell aggregation happens
-    before tree descent, so centroids are exact means of all integrated
-    points regardless of batching. Missing (NaN) normals contribute nothing
-    to the normal sums.
+    to the world frame through its inverse. The cloud is summed per cell in
+    point order first and each cell sum is then added to the table once, so
+    centroids are exact means of all integrated points regardless of
+    batching. Missing (NaN) normals contribute nothing to the normal sums.
     """
     if len(cloud) == 0:
         return {"new_cells": 0, "updated_cells": 0}
     inv = pose.inverse()
     world = cloud.points @ inv.rotation.T + inv.translation
-    world_normals = None
-    if cloud.normals is not None:
-        world_normals = np.where(
-            np.isfinite(cloud.normals), cloud.normals, 0.0
-        ) @ inv.rotation.T
+    keys, inverse = np.unique(octree._pack(octree.cell_index(world)), return_inverse=True)
+    rows, new_cells = octree._rows(keys)
 
-    idx = octree.cell_index(world)
-    unique, inverse = np.unique(idx, axis=0, return_inverse=True)
-    n_cells = len(unique)
-    pos_sum = np.zeros((n_cells, 3))
-    np.add.at(pos_sum, inverse, world)
-    counts = np.bincount(inverse, minlength=n_cells)
-    color_sum = np.zeros((n_cells, 3))
+    def add(table: np.ndarray, values: np.ndarray):
+        sums = [np.bincount(inverse, weights=values[:, a], minlength=len(keys)) for a in range(3)]
+        table[rows] += np.stack(sums, axis=1)
+
+    octree.count[rows] += np.bincount(inverse, minlength=len(keys))
+    add(octree.position_sum, world)
     if cloud.colors is not None:
-        np.add.at(color_sum, inverse, cloud.colors.astype(float))
-    normal_sum = np.zeros((n_cells, 3))
-    if world_normals is not None:
-        np.add.at(normal_sum, inverse, world_normals)
-
-    new_cells = 0
-    updated = 0
-    for row in range(n_cells):
-        cell = octree._leaf(unique[row], create=True)
-        if cell.count == 0:
-            new_cells += 1
-        else:
-            updated += 1
-        cell.position_sum += pos_sum[row]
-        cell.color_sum += color_sum[row]
-        cell.normal_sum += normal_sum[row]
-        cell.count += int(counts[row])
-    return {"new_cells": new_cells, "updated_cells": updated}
+        add(octree.color_sum, cloud.colors.astype(float))
+    if cloud.normals is not None:
+        normals = np.where(np.isfinite(cloud.normals), cloud.normals, 0.0)
+        add(octree.normal_sum, normals @ inv.rotation.T)
+    return {"new_cells": new_cells, "updated_cells": len(keys) - new_cells}
 
 
 def extract_global_cloud(octree: OctreeMap) -> PointCloud:
     """Read-only snapshot: per-cell centroid, mean color (rounded half-up),
     renormalized mean normal."""
-    points = []
-    colors = []
-    normals = []
-    for _, cell in octree.cells():
-        points.append(cell.position_sum / cell.count)
-        colors.append(np.floor(cell.color_sum / cell.count + 0.5).astype(np.uint8))
-        norm = np.linalg.norm(cell.normal_sum)
-        normals.append(cell.normal_sum / norm if norm > 0 else np.array([0.0, 0.0, -1.0]))
-    if not points:
-        return PointCloud(np.zeros((0, 3)), np.zeros((0, 3), dtype=np.uint8), np.zeros((0, 3)))
-    return PointCloud(np.array(points), np.array(colors), np.array(normals))
+    count = octree.count[:, None]
+    # a dot product per row, the reduction np.linalg.norm applies to one vector
+    norm = np.sqrt(octree.normal_sum[:, None, :] @ octree.normal_sum[:, :, None])[:, 0]
+    normals = np.where(
+        norm > 0, octree.normal_sum / np.where(norm > 0, norm, 1.0), np.array([0.0, 0.0, -1.0])
+    )
+    colors = np.floor(octree.color_sum / count + 0.5).astype(np.uint8)
+    return PointCloud(octree.position_sum / count, colors, normals)
 
 
 @dataclass
@@ -326,20 +328,14 @@ def rebuild_on_adjustment(octree: OctreeMap, archive: list[ArchivedKeyframe]) ->
 
 
 def maps_equal(a: OctreeMap, b: OctreeMap, tol: float = 1e-12) -> bool:
-    """Cell-by-cell comparison of indices, counts, and running sums."""
-    cells_a = a.cells()
-    cells_b = b.cells()
-    if len(cells_a) != len(cells_b):
+    """Cell-by-cell comparison of indices, counts, and running sums; each sum
+    row may differ by ``tol`` times its largest magnitude in ``a`` (at least 1)."""
+    if not (np.array_equal(a.indices(), b.indices()) and np.array_equal(a.count, b.count)):
         return False
-    for (ia, ca), (ib, cb) in zip(cells_a, cells_b):
-        if ia != ib or ca.count != cb.count:
-            return False
-        scale = max(1.0, np.abs(ca.position_sum).max())
-        if np.any(np.abs(ca.position_sum - cb.position_sum) > tol * scale):
-            return False
-        if np.any(np.abs(ca.color_sum - cb.color_sum) > tol * max(1.0, np.abs(ca.color_sum).max())):
-            return False
-        if np.any(np.abs(ca.normal_sum - cb.normal_sum) > tol * max(1.0, np.abs(ca.normal_sum).max())):
+    for name in OctreeMap.SUMS:
+        x, y = getattr(a, name), getattr(b, name)
+        scale = np.maximum(1.0, np.abs(x).max(axis=1, keepdims=True))
+        if np.any(np.abs(x - y) > tol * scale):
             return False
     return True
 
@@ -349,31 +345,38 @@ class VolumetricMapper:
 
     The bounded queue is the only channel between the producer (SLAM side)
     and this consumer; the archive keeps everything needed for
-    ``rebuild_on_adjustment``.
+    ``rebuild_on_adjustment``. Producer and consumer share one thread, so a
+    full queue rejects the keyframe instead of waiting for a consumer.
     """
 
     def __init__(self, octree: OctreeMap, batch_size: int = 1, queue_capacity: int = 256):
-        if batch_size < 1:
-            raise ValueError("batch size must be >= 1")
+        if batch_size < 1 or queue_capacity < 1:
+            raise ValueError("batch size and queue capacity must be >= 1")
         self.octree = octree
         self.batch_size = batch_size
-        self._queue: queue.Queue = queue.Queue(maxsize=queue_capacity)
+        self.queue_capacity = queue_capacity
+        self._queue: deque[ArchivedKeyframe] = deque()
         self.archive: list[ArchivedKeyframe] = []
 
     def submit(self, keyframe_id: int, cloud: PointCloud, pose: Se3Pose):
-        self._queue.put(ArchivedKeyframe(keyframe_id, cloud, pose))
+        """Queue a keyframe; raises ``MapperQueueFullError`` (queueing and
+        archiving nothing) when ``queue_capacity`` keyframes are pending."""
+        if len(self._queue) >= self.queue_capacity:
+            raise MapperQueueFullError(
+                f"mapper queue full ({self.queue_capacity} keyframes); "
+                f"process a batch before submitting keyframe {keyframe_id}"
+            )
+        self._queue.append(ArchivedKeyframe(keyframe_id, cloud, pose))
 
     def pending(self) -> int:
-        return self._queue.qsize()
+        return len(self._queue)
 
     def process_batches(self, drain: bool = False) -> list[dict[str, int]]:
         """Integrate full batches from the queue (all remaining when draining)."""
         reports = []
-        while self._queue.qsize() >= self.batch_size or (drain and not self._queue.empty()):
-            batch = []
-            for _ in range(min(self.batch_size, self._queue.qsize())):
-                batch.append(self._queue.get())
-            for entry in batch:
+        while len(self._queue) >= self.batch_size or (drain and self._queue):
+            for _ in range(min(self.batch_size, len(self._queue))):
+                entry = self._queue.popleft()
                 reports.append(integrate_cloud(self.octree, entry.cloud, entry.pose))
                 self.archive.append(entry)
         return reports
@@ -391,16 +394,18 @@ class VolumetricMapper:
 # Export formats: ASCII PLY and CSV, columns x y z r g b nx ny nz
 
 
-def _format_row(point, color, normal) -> str:
-    vals = [f"{v:.9g}" for v in point] + [str(int(c)) for c in color] + [
-        f"{v:.9g}" for v in normal
-    ]
-    return " ".join(vals)
+_ROW_FORMAT = "%.9g %.9g %.9g %d %d %d %.9g %.9g %.9g"
+
+
+def _format_rows(cloud: PointCloud, sep: str) -> list[str]:
+    colors = cloud.colors if cloud.colors is not None else np.zeros((len(cloud), 3), int)
+    normals = cloud.normals if cloud.normals is not None else np.zeros((len(cloud), 3))
+    fmt = _ROW_FORMAT.replace(" ", sep)
+    columns = cloud.points.T.tolist() + colors.T.tolist() + normals.T.tolist()
+    return [fmt % row for row in zip(*columns)]
 
 
 def export_ply(cloud: PointCloud) -> str:
-    colors = cloud.colors if cloud.colors is not None else np.zeros((len(cloud), 3), int)
-    normals = cloud.normals if cloud.normals is not None else np.zeros((len(cloud), 3))
     header = [
         "ply",
         "format ascii 1.0",
@@ -416,15 +421,8 @@ def export_ply(cloud: PointCloud) -> str:
         "property float nz",
         "end_header",
     ]
-    rows = [_format_row(p, c, n) for p, c, n in zip(cloud.points, colors, normals)]
-    return "\n".join(header + rows) + "\n"
+    return "\n".join(header + _format_rows(cloud, " ")) + "\n"
 
 
 def export_csv(cloud: PointCloud) -> str:
-    colors = cloud.colors if cloud.colors is not None else np.zeros((len(cloud), 3), int)
-    normals = cloud.normals if cloud.normals is not None else np.zeros((len(cloud), 3))
-    rows = ["x,y,z,r,g,b,nx,ny,nz"]
-    for p, c, n in zip(cloud.points, colors, normals):
-        cells = [f"{v:.9g}" for v in p] + [str(int(x)) for x in c] + [f"{v:.9g}" for v in n]
-        rows.append(",".join(cells))
-    return "\n".join(rows) + "\n"
+    return "\n".join(["x,y,z,r,g,b,nx,ny,nz"] + _format_rows(cloud, ",")) + "\n"

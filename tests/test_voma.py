@@ -3,7 +3,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from pointline.errors import PointlineError
+from pointline.errors import MapperQueueFullError, PointlineError
 from pointline.geometry import CameraIntrinsics, Se3Pose, se3_exp
 from pointline.voma import (
     ArchivedKeyframe,
@@ -297,3 +297,117 @@ def test_cloud_validation():
         DepthImage(np.array([[-1.0]]))
     with pytest.raises(ValueError):
         OctreeMap(0.0)
+
+
+def _cloud_at_cells(indices, res):
+    return PointCloud((np.array(indices, dtype=float) + 0.5) * res)
+
+
+def test_cells_in_lexicographic_index_order():
+    res = 0.1
+    indices = [(-2, 5, 0), (1, -3, 2), (-2, -1, 7), (0, 0, 0), (1, -3, -4), (-1, 2, -2), (-10, -10, -10)]
+    tree = OctreeMap(res, max_extent=2.0)
+    integrate_cloud(tree, _cloud_at_cells(indices, res), Se3Pose.identity())
+    assert [index for index, _ in tree.cells()] == sorted(indices)
+    assert tree.n_cells == len(indices)
+
+
+def test_cell_view_writes_reach_the_map():
+    rng = np.random.default_rng(10)
+    cloud = PointCloud(rng.uniform(-1, 1, size=(300, 3)))
+
+    def build():
+        tree = OctreeMap(0.1, max_extent=2.0)
+        integrate_cloud(tree, cloud, Se3Pose.identity())
+        return tree
+
+    a, b = build(), build()
+    key = b.content_key()
+    index, cell = b.cells()[b.n_cells // 2]
+    cell.count += 1
+    assert not maps_equal(a, b, tol=0.0)
+    assert b.content_key() != key
+    cell.count -= 1
+    assert maps_equal(a, b, tol=0.0) and b.content_key() == key
+    # a view follows its cell when later integration inserts rows before it
+    before = cell.position_sum.copy()
+    integrate_cloud(b, PointCloud(np.array([[-1.9, -1.9, -1.9]])), Se3Pose.identity())
+    assert np.array_equal(cell.position_sum, before)
+    cell.position_sum = before + 1.0
+    assert np.array_equal(dict(b.cells())[index].position_sum, before + 1.0)
+
+
+def test_maps_equal_scales_tolerance_per_cell():
+    res = 1.0
+    points = np.array([[0.01, 0.02, 0.03], [1000.5, 0.5, 0.5]])
+    a = OctreeMap(res, max_extent=2048.0)
+    b = OctreeMap(res, max_extent=2048.0)
+    for tree in (a, b):
+        integrate_cloud(tree, PointCloud(points), Se3Pose.identity())
+    tol = 1e-9
+    small = b.cells()[0][1]
+    assert small.position_sum.max() < 1.0
+    small.position_sum = small.position_sum + 2 * tol  # within tol * 1000, the large cell's scale
+    assert not maps_equal(a, b, tol=tol)
+    small.position_sum = small.position_sum - 2 * tol + 0.5 * tol
+    assert maps_equal(a, b, tol=tol)
+
+
+def test_cell_key_bits_bounded():
+    with pytest.raises(ValueError):
+        OctreeMap(1e-6, max_extent=64.0)
+    tree = OctreeMap(64.0 / 2**20, max_extent=64.0)  # 21 bits per axis, the most a key holds
+    corner = np.array([[-64.0, -64.0, -64.0], [64.0 - 1e-9, 64.0 - 1e-9, 64.0 - 1e-9]])
+    integrate_cloud(tree, PointCloud(corner), Se3Pose.identity())
+    assert [index for index, _ in tree.cells()] == [(-(2**20),) * 3, (2**20 - 1,) * 3]
+
+
+def test_mapper_full_queue_raises_instead_of_blocking():
+    rng = np.random.default_rng(11)
+    clouds = [PointCloud(rng.uniform(-1, 1, size=(50, 3))) for _ in range(3)]
+    mapper = VolumetricMapper(OctreeMap(0.05, max_extent=4.0), queue_capacity=2)
+    mapper.submit(0, clouds[0], Se3Pose.identity())
+    mapper.submit(1, clouds[1], Se3Pose.identity())
+    with pytest.raises(MapperQueueFullError):
+        mapper.submit(2, clouds[2], Se3Pose.identity())
+    assert mapper.pending() == 2 and mapper.archive == []
+    assert len(mapper.process_batches(drain=True)) == 2
+    assert [e.keyframe_id for e in mapper.archive] == [0, 1]
+    expected = OctreeMap(0.05, max_extent=4.0)
+    for cloud in clouds[:2]:
+        integrate_cloud(expected, cloud, Se3Pose.identity())
+    assert maps_equal(mapper.octree, expected, tol=0.0)
+    mapper.submit(2, clouds[2], Se3Pose.identity())
+    assert mapper.pending() == 1
+    with pytest.raises(ValueError):
+        VolumetricMapper(OctreeMap(0.05, max_extent=4.0), queue_capacity=0)
+
+
+def _reference_rows(cloud, sep):
+    colors = cloud.colors if cloud.colors is not None else np.zeros((len(cloud), 3), int)
+    normals = cloud.normals if cloud.normals is not None else np.zeros((len(cloud), 3))
+    return [
+        sep.join([f"{v:.9g}" for v in p] + [str(int(c)) for c in col] + [f"{v:.9g}" for v in n])
+        for p, col, n in zip(cloud.points, colors, normals)
+    ]
+
+
+def test_export_bytes_match_per_value_formatting():
+    points = np.array([[-0.0, 1e-300, 1e12], [0.1, -2.5e-7, 123456789.123], [np.nan, np.inf, -1e-5]])
+    colors = np.array([[0, 128, 255], [1, 2, 3], [9, 9, 9]], dtype=np.uint8)
+    normals = np.array([[-0.0, 0.0, -1.0], [0.6, -0.8, 0.0], [np.nan] * 3])
+    clouds = [
+        PointCloud(points),
+        PointCloud(points, colors=colors),
+        PointCloud(points, normals=normals),
+        PointCloud(points, colors=colors, normals=normals),
+        PointCloud(np.zeros((0, 3))),
+    ]
+    for cloud in clouds:
+        ply = export_ply(cloud)
+        head = ply[: ply.index("end_header\n") + len("end_header\n")]
+        assert ply == head + "".join(row + "\n" for row in _reference_rows(cloud, " "))
+        assert export_csv(cloud) == "x,y,z,r,g,b,nx,ny,nz\n" + "".join(
+            row + "\n" for row in _reference_rows(cloud, ",")
+        )
+    assert "-0 1e-300 1e+12 0 128 255 -0 0 -1\n" in export_ply(clouds[3])
