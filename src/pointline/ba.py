@@ -1,10 +1,14 @@
-"""Bundle adjustment: residual-term assembly and Levenberg-Marquardt.
+"""Bundle adjustment: residual-table assembly and Levenberg-Marquardt.
 
 The solver minimizes the robustified sum of point reprojection errors and
 line 2D/backprojection errors over keyframe poses (left-multiplicative SE(3)
 increments), point positions, and line endpoint pairs. Damped normal
 equations follow the augmented form (H + lambda I) dx = -g with IRLS robust
 weights folded into the per-term information matrices.
+
+Assembly walks the map's observations once into columnar tables, one per
+residual family; residuals, Jacobians and line covariances come from the
+batched kernels in ``point_errors`` and ``lines``.
 """
 
 from __future__ import annotations
@@ -16,15 +20,16 @@ import numpy as np
 from .errors import EmptyProblemError, SingularSystemError
 from .geometry import Z_MIN, CameraIntrinsics, Se3Pose, se3_exp
 from .lines import (
-    EPS_ENDPOINT,
-    EPS_V,
     BackprojectedSegment,
-    EndpointPairing,
-    LineLandmark,
-    LineObservation,
-    associate_endpoints,
-    backprojection_distance_covariance,
-    distance_2d_variance,
+    associate_endpoints_batch,
+    backprojected_point_covariance_batch,
+    backprojection_distance_batch,
+    backprojection_distance_covariance_batch,
+    backprojection_distance_jacobians_batch,
+    distance_2d_batch,
+    distance_2d_jacobians_batch,
+    distance_2d_variance_batch,
+    paired_backprojections_batch,
 )
 from .noise import (
     CHI2_95_2D,
@@ -36,7 +41,11 @@ from .noise import (
     sigma_pixel,
     sigma_z,
 )
-from .point_errors import PointObservation
+from .point_errors import (
+    point_jacobians_batch,
+    point_prediction_batch,
+    propagated_stereo_covariance_batch,
+)
 from .sparse_map import SparseMap
 
 
@@ -87,21 +96,6 @@ class LmSchedule:
     damping: str = "identity"  # identity | diagonal
     linear_solver: str = "schur"  # schur | dense
     refresh_covariances: bool = False
-
-
-@dataclass
-class ResidualTerm:
-    """One error term of the objective; covariances cached at assembly."""
-
-    kind: str  # point_mono | point_stereo | line_2d | line_3d
-    keyframe_id: int
-    landmark_id: int
-    measurement: np.ndarray | None
-    covariance: np.ndarray
-    kernel: RobustKernel
-    variant: str = ""  # point_stereo: binocular | virtual_baseline | depth
-    association: EndpointPairing | None = None
-    obs: PointObservation | LineObservation | None = None
 
 
 @dataclass
@@ -168,44 +162,51 @@ class OptimizationReport:
         return "\n".join(lines) + "\n"
 
 
-def _batch_hat(v: np.ndarray) -> np.ndarray:
-    m = np.zeros(v.shape[:-1] + (3, 3))
-    m[..., 0, 1] = -v[..., 2]
-    m[..., 0, 2] = v[..., 1]
-    m[..., 1, 0] = v[..., 2]
-    m[..., 1, 2] = -v[..., 0]
-    m[..., 2, 0] = -v[..., 1]
-    m[..., 2, 1] = v[..., 0]
-    return m
-
-
-def _pose_chain(row_c: np.ndarray, x_c: np.ndarray) -> np.ndarray:
-    """Chain 1x3 rows through d X_c / d xi = [-hat(X_c) | I] (batched)."""
-    return np.concatenate([-np.cross(row_c, x_c), row_c], axis=-1)
+_KINDS = ("point_mono", "point_stereo", "point_depth", "line_2d", "line_3d")
 
 
 @dataclass
 class _Table:
-    """Vectorized view of all terms of one internal kind."""
+    """All terms of one residual family, one row per term in assembly order."""
 
-    kind: str  # point_mono | point_stereo | point_depth | line_2d | line_3d
-    term_idx: np.ndarray
+    kind: str  # one of _KINDS
     kf_slot: np.ndarray
     lm_slot: np.ndarray
-    meas: np.ndarray | None
     info: np.ndarray  # (N, r, r) inverse covariances (robust weights applied later)
     kernel: RobustKernel
-    # line_2d payload
+    # point payload: measurements (N, r)
+    meas: np.ndarray | None = None
+    # line_2d payload: the observed image line, and its observed endpoints
+    # (N, 2, 2) and pixel sigmas, which its covariance propagates
     normal: np.ndarray | None = None
     offset: np.ndarray | None = None
-    # line_3d payload
+    endpoints_px: np.ndarray | None = None
+    sigma_px: np.ndarray | None = None
+    # line_3d payload: backprojected endpoints, their covariances (N, 3, 3),
+    # and the pairing of (P, Q) with them fixed at assembly
     b_p: np.ndarray | None = None
     b_q: np.ndarray | None = None
+    cov_bp: np.ndarray | None = None
+    cov_bq: np.ndarray | None = None
     swapped: np.ndarray | None = None
     mu: float = 0.0
 
     def __len__(self):
         return len(self.kf_slot)
+
+    def paired(self) -> np.ndarray:
+        """line_3d: the backprojected endpoint paired with P and with Q, (N, 2, 3)."""
+        return np.stack(paired_backprojections_batch(self.b_p, self.b_q, self.swapped), axis=1)
+
+
+def _camera_frame(state: State, table: _Table):
+    """The terms' landmark points (N, 3), or line endpoints (N, 2, 3), in their
+    keyframes' frames, and those keyframes' rotations (N, 3, 3)."""
+    rot = state.rotations[table.kf_slot]
+    t = state.translations[table.kf_slot]
+    if table.kind.startswith("point"):
+        return np.einsum("nij,nj->ni", rot, state.points[table.lm_slot]) + t, rot
+    return np.einsum("nij,nkj->nki", rot, state.lines[table.lm_slot]) + t[:, None], rot
 
 
 class Problem:
@@ -215,15 +216,13 @@ class Problem:
         self,
         intrinsics: CameraIntrinsics,
         kf_ids: list[int],
-        poses: list[Se3Pose],
         point_ids: list[int],
-        point_positions: np.ndarray,
         line_ids: list[int],
-        line_endpoints: np.ndarray,
+        initial_state: State,
         pose_free: np.ndarray,
         point_free: np.ndarray,
         line_free: np.ndarray,
-        terms: list[ResidualTerm],
+        tables: list[_Table],
         config: BaConfig,
     ):
         self.intrinsics = intrinsics
@@ -231,13 +230,7 @@ class Problem:
         self.point_ids = point_ids
         self.line_ids = line_ids
         self.config = config
-        self.terms = terms
-        self.initial_state = State(
-            np.stack([p.rotation for p in poses]) if poses else np.zeros((0, 3, 3)),
-            np.stack([p.translation for p in poses]) if poses else np.zeros((0, 3)),
-            np.asarray(point_positions, dtype=float).reshape(-1, 3),
-            np.asarray(line_endpoints, dtype=float).reshape(-1, 2, 3),
-        )
+        self.initial_state = initial_state
         self.pose_free = pose_free
         self.point_free = point_free
         self.line_free = line_free
@@ -254,119 +247,30 @@ class Problem:
         self.n_params = self.line_offset + 6 * self.n_free_lines
         if self.n_params == 0:
             raise EmptyProblemError("no free parameter blocks")
-        if not terms:
+        if not tables:
             raise EmptyProblemError("no residual terms")
-
-        self._kf_index = {k: i for i, k in enumerate(kf_ids)}
-        self._pt_index = {k: i for i, k in enumerate(point_ids)}
-        self._ln_index = {k: i for i, k in enumerate(line_ids)}
-        self.tables = self._build_tables(terms)
-
-    # -- table construction --------------------------------------------------
-
-    def _build_tables(self, terms: list[ResidualTerm]) -> list[_Table]:
-        grouped: dict[str, list[tuple[int, ResidualTerm]]] = {}
-        for idx, t in enumerate(terms):
-            key = t.kind
-            if t.kind == "point_stereo" and t.variant == "depth":
-                key = "point_depth"
-            grouped.setdefault(key, []).append((idx, t))
-        tables = []
-        for key in ("point_mono", "point_stereo", "point_depth", "line_2d", "line_3d"):
-            if key not in grouped:
-                continue
-            idx_terms = grouped[key]
-            idx = np.array([i for i, _ in idx_terms])
-            ts = [t for _, t in idx_terms]
-            kf = np.array([self._kf_index[t.keyframe_id] for t in ts])
-            if key.startswith("point"):
-                lm = np.array([self._pt_index[t.landmark_id] for t in ts])
-                meas = np.stack([t.measurement for t in ts])
-                r = meas.shape[1]
-                info = np.stack([np.linalg.inv(t.covariance.reshape(r, r)) for t in ts])
-                tables.append(_Table(key, idx, kf, lm, meas, info, ts[0].kernel))
-            elif key == "line_2d":
-                lm = np.array([self._ln_index[t.landmark_id] for t in ts])
-                normal = np.stack([t.measurement[:2] for t in ts])
-                offset = np.array([t.measurement[2] for t in ts])
-                info = np.stack([np.diag(1.0 / np.diag(t.covariance)) for t in ts])
-                tables.append(
-                    _Table(key, idx, kf, lm, None, info, ts[0].kernel, normal=normal, offset=offset)
-                )
-            else:  # line_3d
-                lm = np.array([self._ln_index[t.landmark_id] for t in ts])
-                b_p = np.stack([t.measurement[0] for t in ts])
-                b_q = np.stack([t.measurement[1] for t in ts])
-                swapped = np.array(
-                    [t.association is EndpointPairing.SWAPPED for t in ts], dtype=bool
-                )
-                info = np.stack([np.diag(1.0 / np.diag(t.covariance)) for t in ts])
-                tables.append(
-                    _Table(
-                        key, idx, kf, lm, None, info, ts[0].kernel,
-                        b_p=b_p, b_q=b_q, swapped=swapped, mu=self.config.mu,
-                    )
-                )
-        return tables
+        self.tables = tables
+        # line terms whose covariance fell back to unit variances at the last
+        # (re-)evaluation; see _refresh_covariances
+        self.covariance_fallbacks = 0
 
     # -- evaluation ------------------------------------------------------------
 
-    def _points_cam(self, state: State, table: _Table) -> np.ndarray:
-        x_w = state.points[table.lm_slot]
-        r = state.rotations[table.kf_slot]
-        return np.einsum("nij,nj->ni", r, x_w) + state.translations[table.kf_slot]
-
-    def _line_endpoints_cam(self, state: State, table: _Table):
-        ends = state.lines[table.lm_slot]  # (N, 2, 3)
-        r = state.rotations[table.kf_slot]
-        t = state.translations[table.kf_slot]
-        p_c = np.einsum("nij,nj->ni", r, ends[:, 0]) + t
-        q_c = np.einsum("nij,nj->ni", r, ends[:, 1]) + t
-        return p_c, q_c
-
-    def _project(self, x_c: np.ndarray) -> np.ndarray:
-        k = self.intrinsics
-        z = x_c[:, 2]
-        return np.stack(
-            [k.fx * x_c[:, 0] / z + k.cx, k.fy * x_c[:, 1] / z + k.cy], axis=-1
-        )
-
     def _residuals(self, state: State, table: _Table) -> tuple[np.ndarray, bool]:
         """Residual array (N, r) for one table and a validity flag."""
-        k = self.intrinsics
-        if table.kind.startswith("point"):
-            x_c = self._points_cam(state, table)
-            if np.any(x_c[:, 2] <= Z_MIN):
-                return np.zeros((len(table), 1)), False
-            uv = self._project(x_c)
-            if table.kind == "point_mono":
-                res = table.meas - uv
-            elif table.kind == "point_stereo":
-                u_r = k.fx * (x_c[:, 0] - k.baseline) / x_c[:, 2] + k.cx
-                res = table.meas - np.concatenate([uv, u_r[:, None]], axis=1)
-            else:  # point_depth
-                res = table.meas - np.concatenate([uv, x_c[:, 2:3]], axis=1)
-            return res, bool(np.all(np.isfinite(res)))
-        p_c, q_c = self._line_endpoints_cam(state, table)
-        if table.kind == "line_2d":
-            if np.any(p_c[:, 2] <= Z_MIN) or np.any(q_c[:, 2] <= Z_MIN):
-                return np.zeros((len(table), 2)), False
-            res_p = np.einsum("ni,ni->n", table.normal, self._project(p_c)) - table.offset
-            res_q = np.einsum("ni,ni->n", table.normal, self._project(q_c)) - table.offset
-            res = np.stack([res_p, res_q], axis=-1)
-            return res, bool(np.all(np.isfinite(res)))
-        # line_3d
-        db = table.b_p - table.b_q
-        db_norm = np.linalg.norm(db, axis=1)
-        b_for_p = np.where(table.swapped[:, None], table.b_q, table.b_p)
-        b_for_q = np.where(table.swapped[:, None], table.b_p, table.b_q)
-        rows = []
-        for x_c, b_paired in ((p_c, b_for_p), (q_c, b_for_q)):
-            v = np.cross(x_c - table.b_p, x_c - table.b_q)
-            d3 = np.linalg.norm(v, axis=1) / db_norm
-            dp = np.linalg.norm(x_c - b_paired, axis=1)
-            rows.append(d3 + table.mu * dp)
-        res = np.stack(rows, axis=-1)
+        x_c, _ = _camera_frame(state, table)
+        if table.kind == "line_3d":
+            res = backprojection_distance_batch(
+                x_c, table.b_p[:, None], table.b_q[:, None], table.paired(), table.mu
+            )
+        elif np.any(x_c[..., 2] <= Z_MIN):
+            return np.zeros((len(table), 0)), False
+        elif table.kind == "line_2d":
+            res = distance_2d_batch(
+                self.intrinsics, table.normal[:, None], table.offset[:, None], x_c
+            )
+        else:
+            res = table.meas - point_prediction_batch(table.kind, self.intrinsics, x_c)
         return res, bool(np.all(np.isfinite(res)))
 
     def evaluate(self, state: State) -> tuple[float, dict[str, float]]:
@@ -389,71 +293,22 @@ class Problem:
 
     def _jacobians(self, state: State, table: _Table):
         """Per-term J wrt twist (N, r, 6) and wrt landmark (N, r, d)."""
-        k = self.intrinsics
-        rot = state.rotations[table.kf_slot]
+        x_c, rot = _camera_frame(state, table)
         if table.kind.startswith("point"):
-            x_c = self._points_cam(state, table)
-            x, y, z = x_c[:, 0], x_c[:, 1], x_c[:, 2]
-            rows = [
-                np.stack([k.fx / z, np.zeros_like(z), -k.fx * x / z**2], axis=-1),
-                np.stack([np.zeros_like(z), k.fy / z, -k.fy * y / z**2], axis=-1),
-            ]
-            if table.kind == "point_stereo":
-                rows.append(
-                    np.stack(
-                        [k.fx / z, np.zeros_like(z), -k.fx * (x - k.baseline) / z**2],
-                        axis=-1,
-                    )
-                )
-            elif table.kind == "point_depth":
-                third = np.zeros_like(rows[0])
-                third[:, 2] = 1.0
-                rows.append(third)
-            j_pred = np.stack(rows, axis=1)  # (N, r, 3)
-            lppj = np.concatenate(
-                [-_batch_hat(x_c), np.broadcast_to(np.eye(3), x_c.shape + (3,))], axis=-1
-            )
-            j_pose = -np.einsum("nrc,ncd->nrd", j_pred, lppj)
-            j_lm = -np.einsum("nrc,ncd->nrd", j_pred, rot)
-            return j_pose, j_lm
-        p_c, q_c = self._line_endpoints_cam(state, table)
-        n_terms = len(table)
-        j_pose = np.zeros((n_terms, 2, 6))
-        j_lm = np.zeros((n_terms, 2, 6))
+            return point_jacobians_batch(table.kind, self.intrinsics, x_c, rot)
+        rot = rot[:, None]  # one rotation for both endpoint rows
         if table.kind == "line_2d":
-            for row, x_c in enumerate((p_c, q_c)):
-                x, y, z = x_c[:, 0], x_c[:, 1], x_c[:, 2]
-                n_u, n_v = table.normal[:, 0], table.normal[:, 1]
-                row_c = np.stack(
-                    [
-                        k.fx * n_u / z,
-                        k.fy * n_v / z,
-                        -(k.fx * n_u * x + k.fy * n_v * y) / z**2,
-                    ],
-                    axis=-1,
-                )
-                j_pose[:, row, :] = _pose_chain(row_c, x_c)
-                j_lm[:, row, 3 * row : 3 * row + 3] = np.einsum("ni,nij->nj", row_c, rot)
-            return j_pose, j_lm
-        # line_3d: d3D row is zeroed on the on-line singular locus, dP row on
-        # endpoint coincidence (the distances are at their minima there).
-        db = table.b_p - table.b_q
-        db_norm = np.linalg.norm(db, axis=1)
-        b_for_p = np.where(table.swapped[:, None], table.b_q, table.b_p)
-        b_for_q = np.where(table.swapped[:, None], table.b_p, table.b_q)
-        for row, (x_c, b_paired) in enumerate(((p_c, b_for_p), (q_c, b_for_q))):
-            v = np.cross(x_c - table.b_p, x_c - table.b_q)
-            v_norm = np.linalg.norm(v, axis=1)
-            safe_v = np.maximum(v_norm, EPS_V)
-            row_c = -np.cross(v, db) / (safe_v * db_norm)[:, None]
-            row_c[v_norm < EPS_V] = 0.0
-            delta = x_c - b_paired
-            d_norm = np.linalg.norm(delta, axis=1)
-            safe_d = np.maximum(d_norm, EPS_ENDPOINT)
-            dp_row = np.where((d_norm >= EPS_ENDPOINT)[:, None], delta / safe_d[:, None], 0.0)
-            row_c = row_c + table.mu * dp_row
-            j_pose[:, row, :] = _pose_chain(row_c, x_c)
-            j_lm[:, row, 3 * row : 3 * row + 3] = np.einsum("ni,nij->nj", row_c, rot)
+            j_pose, j_end = distance_2d_jacobians_batch(
+                self.intrinsics, table.normal[:, None], x_c, rot
+            )
+        else:
+            j_pose, j_end, _ = backprojection_distance_jacobians_batch(
+                x_c, rot, table.b_p[:, None], table.b_q[:, None], table.paired(), table.mu
+            )
+        # the P row moves only P, the Q row only Q
+        j_lm = np.zeros((len(table), 2, 6))
+        j_lm[:, 0, :3] = j_end[:, 0]
+        j_lm[:, 1, 3:] = j_end[:, 1]
         return j_pose, j_lm
 
     def linearize(self, state: State) -> tuple[np.ndarray, np.ndarray]:
@@ -545,20 +400,13 @@ class Problem:
 # Assembly
 
 
-def _fallback_variance() -> np.ndarray:
-    # Degenerate propagated covariance (noise-free consistent geometry):
-    # the residual and its Jacobian vanish there, so any finite weight is
-    # inert; unit variance keeps the information matrix finite.
-    return np.diag([1.0, 1.0])
-
-
 def assemble_problem(
     sparse_map: SparseMap,
     config: BaConfig | None = None,
     scope: str = "full",
     reference_kf: int | None = None,
 ) -> Problem:
-    """Build residual terms and parameter blocks from a map snapshot.
+    """Build residual tables and parameter blocks from a map snapshot.
 
     ``scope="full"`` takes every keyframe; ``scope="local"`` frees only the
     reference keyframe and the keyframes covisible with it (at least
@@ -599,10 +447,14 @@ def assemble_problem(
     line_ids = sorted(
         lid for lid, obs in sparse_map.line_observers.items() if obs & kf_set
     )
-    points = np.array([sparse_map.points[p].position for p in point_ids]).reshape(-1, 3)
-    lines = np.array(
-        [[sparse_map.lines[l].p, sparse_map.lines[l].q] for l in line_ids]
-    ).reshape(-1, 2, 3)
+    state = State(
+        np.stack([p.rotation for p in poses]) if poses else np.zeros((0, 3, 3)),
+        np.stack([p.translation for p in poses]) if poses else np.zeros((0, 3)),
+        np.array([sparse_map.points[p].position for p in point_ids], dtype=float).reshape(-1, 3),
+        np.array(
+            [[sparse_map.lines[l].p, sparse_map.lines[l].q] for l in line_ids], dtype=float
+        ).reshape(-1, 2, 3),
+    )
 
     pose_free = np.ones(len(kf_ids), dtype=bool)
     if scope == "local":
@@ -619,111 +471,109 @@ def assemble_problem(
     point_free = np.full(len(point_ids), not config.fix_points)
     line_free = np.full(len(line_ids), not config.fix_lines)
 
-    kernel2 = config.kernel_for(2)
-    kernel3 = config.kernel_for(3)
-    terms: list[ResidualTerm] = []
-
-    for kf_id in kf_ids:
+    # One walk over the observations appends a row per term to its family.
+    # Measurements and variances go in as small arrays: the blocks they free
+    # once stacked serve the solver's later small allocations, which would
+    # otherwise split the heap around the dense H and raise the peak memory
+    # of some scenes by one H.
+    point_slot = {pid: i for i, pid in enumerate(point_ids)}
+    line_slot = {lid: i for i, lid in enumerate(line_ids)}
+    propagated = config.cov_mode == "propagated_cov"
+    columns: dict[str, list[dict]] = {kind: [] for kind in _KINDS}
+    for slot, kf_id in enumerate(kf_ids):
         kf = sparse_map.keyframes[kf_id]
-        pose = kf.pose
         for pt_id in sorted(kf.point_obs):
             obs = kf.point_obs[pt_id]
             var_px = sigma_pixel(config.pixel_noise, obs.level) ** 2
+            u, v = obs.pixel
+            term = dict(kf=slot, lm=point_slot[pt_id])
             if obs.is_mono:
-                terms.append(
-                    ResidualTerm(
-                        "point_mono", kf_id, pt_id, obs.pixel.copy(),
-                        var_px * np.eye(2), kernel2, obs=obs,
-                    )
-                )
+                columns["point_mono"].append(dict(meas=obs.pixel, var=np.full(2, var_px), **term))
                 continue
             if obs.right_u is not None:
-                meas = np.array([obs.pixel[0], obs.pixel[1], obs.right_u])
-                variant = "binocular"
+                meas = np.array([u, v, obs.right_u])
                 # depth from disparity feeds the propagated covariance only
                 depth = None
-                if k.baseline is not None and obs.pixel[0] - obs.right_u > 0:
-                    depth = k.baseline * k.fx / (obs.pixel[0] - obs.right_u)
+                if k.baseline is not None and u - obs.right_u > 0:
+                    depth = k.baseline * k.fx / (u - obs.right_u)
             elif config.point_residual == "depth":
-                meas = np.array([obs.pixel[0], obs.pixel[1], obs.depth])
                 var_z = sigma_z(config.depth_noise, obs.depth) ** 2
-                terms.append(
-                    ResidualTerm(
-                        "point_stereo", kf_id, pt_id, meas,
-                        np.diag([var_px, var_px, var_z]), kernel3,
-                        variant="depth", obs=obs,
-                    )
-                )
+                term.update(meas=np.array([u, v, obs.depth]), var=np.array([var_px, var_px, var_z]))
+                columns["point_depth"].append(term)
                 continue
             else:
-                u_r = obs.pixel[0] - k.baseline * k.fx / obs.depth
-                meas = np.array([obs.pixel[0], obs.pixel[1], u_r])
-                variant = "virtual_baseline"
+                meas = np.array([u, v, u - k.baseline * k.fx / obs.depth])
                 depth = obs.depth
-            if config.cov_mode == "propagated_cov" and depth is not None:
-                gain = k.baseline * k.fx / (depth * depth)
+            if propagated and depth is not None:
                 var_z = sigma_z(config.depth_noise, depth) ** 2
-                cov = np.array(
-                    [
-                        [var_px, 0.0, var_px],
-                        [0.0, var_px, 0.0],
-                        [var_px, 0.0, var_px + gain * gain * var_z],
-                    ]
-                )
-            else:
-                cov = var_px * np.eye(3)
-            terms.append(
-                ResidualTerm(
-                    "point_stereo", kf_id, pt_id, meas, cov, kernel3,
-                    variant=variant, obs=obs,
-                )
-            )
+            else:  # identity covariance: a NaN depth marks the row
+                depth = var_z = np.nan
+            term.update(meas=meas, var=np.full(3, var_px), depth=depth, var_z=var_z)
+            columns["point_stereo"].append(term)
 
         for line_id in sorted(kf.line_obs):
             obs = kf.line_obs[line_id]
-            lm = sparse_map.lines[line_id]
             sigma_li = sigma_pixel(config.pixel_noise, obs.level)
-            mono = not obs.is_stereo
-            if mono and lm.n_obs < config.min_mono_line_obs:
+            if not obs.is_stereo and sparse_map.lines[line_id].n_obs < config.min_mono_line_obs:
                 continue
+            term = dict(kf=slot, lm=line_slot[line_id], sigma=sigma_li, endpoints=(obs.p, obs.q))
             if config.include_line_2d:
                 params = obs.line_params()
-                try:
-                    var_p = distance_2d_variance(obs, pose, k, lm.p, sigma_li)
-                    var_q = distance_2d_variance(obs, pose, k, lm.q, sigma_li)
-                    cov = np.diag([var_p, var_q])
-                except Exception:
-                    cov = _fallback_variance()
-                terms.append(
-                    ResidualTerm(
-                        "line_2d", kf_id, line_id,
-                        np.array([params.normal[0], params.normal[1], params.offset]),
-                        cov, kernel2, obs=obs,
-                    )
-                )
+                columns["line_2d"].append(dict(normal=params.normal, offset=params.offset, **term))
             if obs.is_stereo and config.include_line_3d:
                 seg = BackprojectedSegment.from_observation(obs, k)
-                assoc = associate_endpoints(
-                    seg, pose.transform(lm.p), pose.transform(lm.q)
-                )
-                try:
-                    cov = backprojection_distance_covariance(
-                        obs, pose, k, lm, config.mu, assoc, sigma_li, config.depth_noise
-                    )
-                except Exception:
-                    cov = _fallback_variance()
-                terms.append(
-                    ResidualTerm(
-                        "line_3d", kf_id, line_id,
-                        np.stack([seg.b_p, seg.b_q]), cov, kernel2,
-                        association=assoc, obs=obs,
-                    )
-                )
+                depths = (obs.depth_p, obs.depth_q)
+                sigma_depth = tuple(sigma_z(config.depth_noise, d) for d in depths)
+                term.update(b_p=seg.b_p, b_q=seg.b_q, depths=depths, sigma_z=sigma_depth)
+                columns["line_3d"].append(term)
 
-    return Problem(
-        k, kf_ids, poses, point_ids, points, line_ids, lines,
-        pose_free, point_free, line_free, terms, config,
+    tables = []
+    for kind, rows in columns.items():
+        if not rows:
+            continue
+        col = {name: np.array([row[name] for row in rows]) for name in rows[0]}
+        if kind.startswith("point"):
+            r = col["var"].shape[1]
+            info = np.zeros((len(col["kf"]), r, r))
+            info[:, np.arange(r), np.arange(r)] = 1.0 / col["var"]
+            if kind == "point_stereo":
+                prop = np.isfinite(col["depth"])
+                info[prop] = np.linalg.inv(
+                    propagated_stereo_covariance_batch(
+                        k, col["var"][prop, 0], col["depth"][prop], col["var_z"][prop]
+                    )
+                )
+            payload = dict(meas=col["meas"])
+        elif kind == "line_2d":
+            payload = dict(
+                normal=col["normal"], offset=col["offset"],
+                endpoints_px=col["endpoints"], sigma_px=col["sigma"],
+            )
+        else:  # line_3d
+            cov_b = backprojected_point_covariance_batch(
+                col["endpoints"], col["depths"], k, col["sigma"][:, None], col["sigma_z"]
+            )
+            payload = dict(
+                b_p=col["b_p"], b_q=col["b_q"], cov_bp=cov_b[:, 0], cov_bq=cov_b[:, 1],
+                mu=config.mu,
+            )
+        if kind.startswith("line"):  # info follows from the state: _refresh_covariances
+            info = np.zeros((len(col["kf"]), 2, 2))
+        kernel = config.kernel_for(info.shape[-1])
+        table = _Table(kind, col["kf"], col["lm"], info, kernel, **payload)
+        if kind == "line_3d":  # the pairing is fixed at the initial state
+            ends_c, _ = _camera_frame(state, table)
+            table.swapped = associate_endpoints_batch(
+                table.b_p, table.b_q, ends_c[:, 0], ends_c[:, 1]
+            )
+        tables.append(table)
+
+    problem = Problem(
+        k, kf_ids, point_ids, line_ids, state,
+        pose_free, point_free, line_free, tables, config,
     )
+    _refresh_covariances(problem, state)
+    return problem
 
 
 # ---------------------------------------------------------------------------
@@ -888,35 +738,37 @@ def optimize(
 
 
 def _refresh_covariances(problem: Problem, state: State):
-    """Re-evaluate cached covariances at the current state (optional slow path)."""
-    values = problem.values(state)
-    config = problem.config
-    k = problem.intrinsics
-    for term in problem.terms:
-        if term.kind == "line_2d":
-            pose = values.poses[term.keyframe_id]
-            p_w, q_w = values.lines[term.landmark_id]
-            sigma_li = sigma_pixel(config.pixel_noise, term.obs.level)
-            try:
-                lm = LineLandmark(p_w, q_w)
-                var_p = distance_2d_variance(term.obs, pose, k, lm.p, sigma_li)
-                var_q = distance_2d_variance(term.obs, pose, k, lm.q, sigma_li)
-                term.covariance = np.diag([var_p, var_q])
-            except Exception:
-                term.covariance = _fallback_variance()
-        elif term.kind == "line_3d":
-            pose = values.poses[term.keyframe_id]
-            p_w, q_w = values.lines[term.landmark_id]
-            sigma_li = sigma_pixel(config.pixel_noise, term.obs.level)
-            try:
-                lm = LineLandmark(p_w, q_w)
-                term.covariance = backprojection_distance_covariance(
-                    term.obs, pose, k, lm, config.mu, term.association,
-                    sigma_li, config.depth_noise,
-                )
-            except Exception:
-                term.covariance = _fallback_variance()
-    problem.tables = problem._build_tables(problem.terms)
+    """Evaluate the line terms' covariances at ``state`` into their tables' info.
+
+    A term gets unit variances in both rows where its covariance is
+    undefined: a zero-length landmark; for line_2d an endpoint at
+    z <= Z_MIN, which cannot be projected; for line_3d a propagated variance
+    <= 0 (noise-free consistent geometry, where the residual and its Jacobian
+    vanish, so any finite weight is inert). ``problem.covariance_fallbacks``
+    counts those terms.
+    """
+    problem.covariance_fallbacks = 0
+    for table in problem.tables:
+        if not table.kind.startswith("line"):
+            continue
+        ends_c, _ = _camera_frame(state, table)
+        ends_w = state.lines[table.lm_slot]
+        fallback = np.linalg.norm(ends_w[:, 0] - ends_w[:, 1], axis=-1) == 0.0
+        if table.kind == "line_2d":
+            fallback |= np.any(ends_c[..., 2] <= Z_MIN, axis=1)
+            var = distance_2d_variance_batch(
+                problem.intrinsics, table.endpoints_px[:, None, 0],
+                table.endpoints_px[:, None, 1], ends_c, table.sigma_px[:, None],
+            )
+        else:
+            var = backprojection_distance_covariance_batch(
+                ends_c[:, 0], ends_c[:, 1], table.b_p, table.b_q, table.swapped,
+                table.cov_bp, table.cov_bq, table.mu,
+            )
+            fallback |= np.any(var <= 0.0, axis=1)
+        fallback = fallback[:, None]
+        table.info[:, [0, 1], [0, 1]] = np.where(fallback, 1.0, 1.0 / np.where(fallback, 1.0, var))
+        problem.covariance_fallbacks += int(fallback.sum())
 
 
 def hessian_spectrum(

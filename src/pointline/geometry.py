@@ -221,6 +221,35 @@ def left_perturbation_point_jacobian(point_c) -> np.ndarray:
     return j
 
 
+def pose_chain(rows_c: np.ndarray, point_c: np.ndarray, rotation: np.ndarray):
+    """Chain rows d f / d X_c (..., 3) through X_c = R X_w + t.
+
+    Returns (d f / d xi, d f / d X_w): ``rows_c @ [-hat3(X_c) | I3]`` and
+    ``rows_c @ R``. Leading axes of the three arrays broadcast.
+    """
+    j_pose = np.concatenate([np.cross(point_c, rows_c), rows_c], axis=-1)
+    return j_pose, np.einsum("...c,...cd->...d", rows_c, rotation)
+
+
+def in_front(point_c) -> np.ndarray:
+    """The camera-frame 3-vector, or ProjectionDomainError behind the near plane."""
+    p = _as_vec(point_c, 3)
+    if not p[2] > Z_MIN:
+        raise ProjectionDomainError(f"point depth {p[2]} is behind the near plane")
+    return p
+
+
+def project_batch(intrinsics: CameraIntrinsics, points_c: np.ndarray) -> np.ndarray:
+    """Pinhole projection of camera-frame points (..., 3) to pixels (..., 2).
+
+    No near-plane check: callers mask or reject z <= Z_MIN themselves.
+    """
+    x, y, z = points_c[..., 0], points_c[..., 1], points_c[..., 2]
+    return np.stack(
+        [intrinsics.fx * x / z + intrinsics.cx, intrinsics.fy * y / z + intrinsics.cy], axis=-1
+    )
+
+
 def project(intrinsics: CameraIntrinsics, point_c) -> np.ndarray:
     """Pinhole projection of a camera-frame point to pixels."""
     x, y, z = _as_vec(point_c, 3)
@@ -243,6 +272,17 @@ def backproject(intrinsics: CameraIntrinsics, pixel, depth: float) -> np.ndarray
             depth,
         ]
     )
+
+
+def projection_jacobian_batch(intrinsics: CameraIntrinsics, points_c: np.ndarray) -> np.ndarray:
+    """d(projection)/d(X_c), (..., 2, 3), for camera-frame points (..., 3)."""
+    x, y, z = points_c[..., 0], points_c[..., 1], points_c[..., 2]
+    zero = np.zeros_like(z)
+    rows = (
+        (intrinsics.fx / z, zero, -intrinsics.fx * x / (z * z)),
+        (zero, intrinsics.fy / z, -intrinsics.fy * y / (z * z)),
+    )
+    return np.stack([np.stack(r, axis=-1) for r in rows], axis=-2)
 
 
 def projection_jacobian(intrinsics: CameraIntrinsics, point_c) -> np.ndarray:

@@ -10,10 +10,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..ba import BaConfig, LmSchedule, assemble_problem, optimize
-from ..errors import ConfigError, PointlineError
+from ..errors import ConfigError, DegenerateGeometryError, PointlineError, ProjectionDomainError
 from ..geometry import (
     CameraIntrinsics,
     Se3Pose,
+    pose_chain,
     project,
     se3_exp,
 )
@@ -289,7 +290,7 @@ def run_matching_experiment(
                     p_px = project(smap.intrinsics, pose.transform(p_true))
                     q_px = project(smap.intrinsics, pose.transform(q_true))
                     params = ln.line_params_from_endpoints(p_px, q_px)
-                except Exception:
+                except (ProjectionDomainError, DegenerateGeometryError):
                     continue
                 queries += 1
                 cand_ids = candidate_matches(index, params)
@@ -347,11 +348,22 @@ def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.abs(np.asarray(analytic) - numeric).max()) / scale
 
 
-def run_jacobian_check(trials: int = 1000, seed: int = 0) -> list[dict]:
-    """Analytic-vs-central-difference check for every error-term Jacobian.
+def _family_error(f, j_pose: np.ndarray, j_point: np.ndarray, pose: Se3Pose, x_w: np.ndarray) -> float:
+    """Worst relative error of (j_pose, j_point) against central differences of f(pose, x_w)."""
+    return max(
+        _rel_err(j_pose, _fd_pose(lambda T: f(T, x_w), pose)),
+        _rel_err(j_point, _fd_point(lambda X: f(pose, X), x_w)),
+    )
 
-    One row per family with the worst relative error and the count of trials
-    exceeding the 1e-5 tolerance.
+
+def run_jacobian_check(trials: int = 1000, seed: int = 0) -> list[dict]:
+    """Analytic-vs-central-difference check of the batched residual kernels
+    that bundle adjustment runs, one family at a time.
+
+    ``line_d3d`` and ``line_dp`` check the two rows that the ``line_3d``
+    kernel sums, ``line_db`` the kernel itself. One row per family with the
+    worst relative error and the count of trials exceeding the 1e-5
+    tolerance.
     """
     rng = np.random.default_rng(seed)
     intr = CameraIntrinsics(500.0, 490.0, 320.0, 240.0, baseline=0.08)
@@ -363,6 +375,7 @@ def run_jacobian_check(trials: int = 1000, seed: int = 0) -> list[dict]:
     done = 0
     while done < trials:
         pose = se3_exp(rng.normal(size=6) * 0.3)
+        rot = pose.rotation
         x_w = pose.inverse().transform(rng.uniform(-1.0, 1.0, 3) + np.array([0.0, 0.0, 3.0]))
         x_c = pose.transform(x_w)
         if x_c[2] < 0.5:
@@ -376,17 +389,17 @@ def run_jacobian_check(trials: int = 1000, seed: int = 0) -> list[dict]:
             p_px, q_px, depth_p=float(rng.uniform(1.0, 4.0)), depth_q=float(rng.uniform(1.0, 4.0))
         )
         seg = ln.BackprojectedSegment.from_observation(obs, intr)
-        x_line_w = pose.inverse().transform(seg.b_p + rng.normal(size=3) * 0.3)
+        b_p, b_q = seg.b_p, seg.b_q
+        x_line_w = pose.inverse().transform(b_p + rng.normal(size=3) * 0.3)
         x_line_c = pose.transform(x_line_w)
         if x_line_c[2] < 0.5:
             continue
-        v = np.cross(x_line_c - seg.b_p, x_line_c - seg.b_q)
-        if np.linalg.norm(v) < 1e-4 or np.linalg.norm(x_line_c - seg.b_p) < 1e-4:
+        v = np.cross(x_line_c - b_p, x_line_c - b_q)
+        if np.linalg.norm(v) < 1e-4 or np.linalg.norm(x_line_c - b_p) < 1e-4:
             continue
         params = obs.line_params()
         mu = 0.5
 
-        lm = pe.PointLandmark(x_w)
         meas2 = project(intr, x_c) + rng.normal(size=2)
         depth_meas = float(x_c[2] + rng.normal() * 0.01)
         meas3 = np.array(
@@ -394,53 +407,26 @@ def run_jacobian_check(trials: int = 1000, seed: int = 0) -> list[dict]:
         )
         measd = np.array([meas2[0], meas2[1], depth_meas])
 
-        jp, jx = pe.mono_point_jacobians(pose, intr, lm)
-        f_pose = lambda T: meas2 - project(intr, T.transform(x_w))
-        f_pt = lambda X: meas2 - project(intr, pose.transform(X))
-        record("point_mono", max(_rel_err(jp, _fd_pose(f_pose, pose)), _rel_err(jx, _fd_point(f_pt, x_w))))
+        for kind, meas in (("point_mono", meas2), ("point_stereo", meas3), ("point_depth", measd)):
+            jp, jx = pe.point_jacobians_batch(kind, intr, x_c, rot)
+            f = lambda T, X: meas - pe.point_prediction_batch(kind, intr, T.transform(X))
+            record(kind, _family_error(f, jp, jx, pose, x_w))
 
-        jp, jx = pe.stereo_point_jacobians(pose, intr, lm)
-        f_pose = lambda T: meas3 - pe._stereo_prediction(intr, T.transform(x_w))
-        f_pt = lambda X: meas3 - pe._stereo_prediction(intr, pose.transform(X))
-        record("point_stereo", max(_rel_err(jp, _fd_pose(f_pose, pose)), _rel_err(jx, _fd_point(f_pt, x_w))))
+        jp, jx = ln.distance_2d_jacobians_batch(intr, params.normal, x_line_c, rot)
+        f = lambda T, X: ln.distance_2d_batch(intr, params.normal, params.offset, T.transform(X))
+        record("line_d2d", _family_error(f, jp, jx, pose, x_line_w))
 
-        jp, jx = pe.depth_point_jacobians(pose, intr, lm)
+        jp, jx = pose_chain(ln.distance_3d_rows(x_line_c, b_p, b_q)[0], x_line_c, rot)
+        f = lambda T, X: ln.distance_3d_batch(T.transform(X), b_p, b_q)
+        record("line_d3d", _family_error(f, jp, jx, pose, x_line_w))
 
-        def f_pose(T):
-            xc = T.transform(x_w)
-            uv = project(intr, xc)
-            return np.array([measd[0] - uv[0], measd[1] - uv[1], measd[2] - xc[2]])
+        jp, jx = pose_chain(ln.endpoint_distance_rows(x_line_c, b_p)[0], x_line_c, rot)
+        f = lambda T, X: ln.endpoint_distance_batch(T.transform(X), b_p)
+        record("line_dp", _family_error(f, jp, jx, pose, x_line_w))
 
-        def f_pt(X):
-            xc = pose.transform(X)
-            uv = project(intr, xc)
-            return np.array([measd[0] - uv[0], measd[1] - uv[1], measd[2] - xc[2]])
-
-        record("point_depth", max(_rel_err(jp, _fd_pose(f_pose, pose)), _rel_err(jx, _fd_point(f_pt, x_w))))
-
-        jp, jx = ln.distance_2d_jacobians(params, pose, intr, x_line_w)
-        f_pose = lambda T: ln.distance_2d(params, T, intr, x_line_w)
-        f_pt = lambda X: ln.distance_2d(params, pose, intr, X)
-        record("line_d2d", max(_rel_err(jp, _fd_pose(f_pose, pose)), _rel_err(jx, _fd_point(f_pt, x_line_w))))
-
-        jp, jx = ln.distance_3d_jacobians(seg, pose, x_line_w)
-        f_pose = lambda T: ln.distance_3d(T.transform(x_line_w), seg)
-        f_pt = lambda X: ln.distance_3d(pose.transform(X), seg)
-        record("line_d3d", max(_rel_err(jp, _fd_pose(f_pose, pose)), _rel_err(jx, _fd_point(f_pt, x_line_w))))
-
-        jp, jx = ln.endpoint_distance_jacobians(seg.b_p, pose, x_line_w)
-        f_pose = lambda T: ln.endpoint_distance(T.transform(x_line_w), seg.b_p)
-        f_pt = lambda X: ln.endpoint_distance(pose.transform(X), seg.b_p)
-        record("line_dp", max(_rel_err(jp, _fd_pose(f_pose, pose)), _rel_err(jx, _fd_point(f_pt, x_line_w))))
-
-        jp, jx = ln.backprojection_distance_jacobians(seg, seg.b_p, pose, x_line_w, mu)
-        f_pose = lambda T: ln.distance_3d(T.transform(x_line_w), seg) + mu * ln.endpoint_distance(
-            T.transform(x_line_w), seg.b_p
-        )
-        f_pt = lambda X: ln.distance_3d(pose.transform(X), seg) + mu * ln.endpoint_distance(
-            pose.transform(X), seg.b_p
-        )
-        record("line_db", max(_rel_err(jp, _fd_pose(f_pose, pose)), _rel_err(jx, _fd_point(f_pt, x_line_w))))
+        jp, jx, _ = ln.backprojection_distance_jacobians_batch(x_line_c, rot, b_p, b_q, b_p, mu)
+        f = lambda T, X: ln.backprojection_distance_batch(T.transform(X), b_p, b_q, b_p, mu)
+        record("line_db", _family_error(f, jp, jx, pose, x_line_w))
 
         done += 1
 

@@ -4,6 +4,11 @@ Image lines are parameterized as ``n . u - h = 0`` with a unit normal n and
 signed offset h. A 3D segment landmark is a pair of world endpoints (P, Q);
 a stereo observation additionally yields the two endpoints backprojected at
 their measured depths, fixed in the camera frame.
+
+Distances, their Jacobians and their covariances exist once, as the
+``*_batch`` kernels over camera-frame points (..., 3) and per-term arrays
+whose leading axes broadcast. Bundle adjustment calls them with one row per
+term and endpoint; the per-observation functions are single-row calls.
 """
 
 from __future__ import annotations
@@ -22,10 +27,10 @@ from .geometry import (
     CameraIntrinsics,
     Se3Pose,
     backproject,
-    hat3,
-    left_perturbation_point_jacobian,
-    project,
-    projection_jacobian,
+    in_front,
+    pose_chain,
+    project_batch,
+    projection_jacobian_batch,
 )
 from .noise import DepthNoiseModel, sigma_z
 
@@ -272,24 +277,112 @@ def triangulate_rectified(
 
 
 # ---------------------------------------------------------------------------
-# Distances
+# Distances and their Jacobians (twist columns ordered (phi, rho))
+
+
+def distance_2d_batch(
+    intrinsics: CameraIntrinsics, normal: np.ndarray, offset, points_c: np.ndarray
+) -> np.ndarray:
+    """Signed image-plane distances ``n . proj(X_c) - h`` of camera-frame points."""
+    return np.einsum("...i,...i->...", normal, project_batch(intrinsics, points_c)) - offset
+
+
+def distance_2d_jacobians_batch(
+    intrinsics: CameraIntrinsics, normal: np.ndarray, points_c: np.ndarray, rotations: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of the 2D distance w.r.t. the twist (..., 6) and the world point (..., 3)."""
+    rows_c = np.einsum("...i,...ij->...j", normal, projection_jacobian_batch(intrinsics, points_c))
+    return pose_chain(rows_c, points_c, rotations)
+
+
+def distance_3d_batch(points_c: np.ndarray, b_p: np.ndarray, b_q: np.ndarray) -> np.ndarray:
+    """Perpendicular distances of camera-frame points from the lines through (b_p, b_q)."""
+    v = np.cross(points_c - b_p, points_c - b_q)
+    return np.linalg.norm(v, axis=-1) / np.linalg.norm(b_p - b_q, axis=-1)
+
+
+def distance_3d_rows(
+    points_c: np.ndarray, b_p: np.ndarray, b_q: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """d(d3D)/d(X_c) rows (..., 3) and the on-line singular mask, where rows are zero."""
+    v = np.cross(points_c - b_p, points_c - b_q)
+    v_norm = np.linalg.norm(v, axis=-1)
+    db = b_p - b_q
+    singular = v_norm < EPS_V
+    scale = np.maximum(v_norm, EPS_V) * np.linalg.norm(db, axis=-1)
+    return np.where(singular[..., None], 0.0, -np.cross(v, db) / scale[..., None]), singular
+
+
+def endpoint_distance_batch(points_c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances between camera-frame points and backprojected endpoints."""
+    return np.linalg.norm(points_c - b, axis=-1)
+
+
+def endpoint_distance_rows(points_c: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """d|X_c - b|/d(X_c) rows (..., 3) and the coincidence mask, where rows are zero."""
+    delta = points_c - b
+    norm = np.linalg.norm(delta, axis=-1)
+    singular = norm < EPS_ENDPOINT
+    rows = delta / np.maximum(norm, EPS_ENDPOINT)[..., None]
+    return np.where(singular[..., None], 0.0, rows), singular
+
+
+def backprojection_distance_batch(
+    points_c: np.ndarray, b_p: np.ndarray, b_q: np.ndarray, b_paired: np.ndarray, mu: float
+) -> np.ndarray:
+    """Per-endpoint residuals ``d3D + mu * |X_c - b_paired|``."""
+    return distance_3d_batch(points_c, b_p, b_q) + mu * endpoint_distance_batch(points_c, b_paired)
+
+
+def backprojection_distance_jacobians_batch(
+    points_c: np.ndarray, rotations: np.ndarray, b_p, b_q, b_paired, mu: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows of ``d3D + mu * dP`` w.r.t. the twist (..., 6) and the world point (..., 3).
+
+    The d3D row plus mu times the dP row, chained once through the pose. Each
+    row is zero on its singular locus (the distances are at their minima
+    there); the third result marks points on either locus.
+    """
+    row_3d, on_line = distance_3d_rows(points_c, b_p, b_q)
+    row_p, at_endpoint = endpoint_distance_rows(points_c, b_paired)
+    j_pose, j_point = pose_chain(row_3d + mu * row_p, points_c, rotations)
+    return j_pose, j_point, on_line | at_endpoint
+
+
+def associate_endpoints_batch(
+    b_p: np.ndarray, b_q: np.ndarray, p_c: np.ndarray, q_c: np.ndarray
+) -> np.ndarray:
+    """True where pairing (P, Q) with (b_q, b_p) has the smaller summed endpoint
+    distance (SWAPPED); ties stay DIRECT."""
+    direct = endpoint_distance_batch(p_c, b_p) + endpoint_distance_batch(q_c, b_q)
+    swapped = endpoint_distance_batch(p_c, b_q) + endpoint_distance_batch(q_c, b_p)
+    return swapped < direct
+
+
+def paired_backprojections_batch(
+    b_p: np.ndarray, b_q: np.ndarray, swapped
+) -> tuple[np.ndarray, np.ndarray]:
+    """Backprojected endpoints matched to (P, Q): (b_p, b_q), or (b_q, b_p) where swapped."""
+    s = np.asarray(swapped, dtype=bool)[..., None]
+    return np.where(s, b_q, b_p), np.where(s, b_p, b_q)
 
 
 def distance_2d(line: Line2dParams, pose: Se3Pose, intrinsics: CameraIntrinsics, point_w) -> float:
     """Signed image-plane distance of the projected world point from the line."""
-    return float(line.normal @ project(intrinsics, pose.transform(point_w)) - line.offset)
+    point_c = in_front(pose.transform(point_w))
+    return float(distance_2d_batch(intrinsics, line.normal, line.offset, point_c))
 
 
 def distance_3d(point_c, seg: BackprojectedSegment) -> float:
     """Perpendicular distance of a camera-frame point from the backprojected line."""
-    point_c = np.asarray(point_c, dtype=float)
-    v = np.cross(point_c - seg.b_p, point_c - seg.b_q)
-    return float(np.linalg.norm(v) / np.linalg.norm(seg.b_p - seg.b_q))
+    return float(distance_3d_batch(np.asarray(point_c, dtype=float), seg.b_p, seg.b_q))
 
 
 def endpoint_distance(point_c, b) -> float:
     """Euclidean distance between a camera-frame point and a backprojected endpoint."""
-    return float(np.linalg.norm(np.asarray(point_c, dtype=float) - np.asarray(b, dtype=float)))
+    return float(
+        endpoint_distance_batch(np.asarray(point_c, dtype=float), np.asarray(b, dtype=float))
+    )
 
 
 def associate_endpoints(seg: BackprojectedSegment, p_c, q_c) -> EndpointPairing:
@@ -298,20 +391,10 @@ def associate_endpoints(seg: BackprojectedSegment, p_c, q_c) -> EndpointPairing:
     Ties resolve to DIRECT. Computed once when an optimization is set up and
     held fixed for the whole run.
     """
-    p_c = np.asarray(p_c, dtype=float)
-    q_c = np.asarray(q_c, dtype=float)
-    direct = np.linalg.norm(p_c - seg.b_p) + np.linalg.norm(q_c - seg.b_q)
-    swapped = np.linalg.norm(p_c - seg.b_q) + np.linalg.norm(q_c - seg.b_p)
-    return EndpointPairing.SWAPPED if swapped < direct else EndpointPairing.DIRECT
-
-
-def paired_backprojections(
-    seg: BackprojectedSegment, association: EndpointPairing
-) -> tuple[np.ndarray, np.ndarray]:
-    """Backprojected endpoints matched to (P, Q) under the given pairing."""
-    if association is EndpointPairing.SWAPPED:
-        return seg.b_q, seg.b_p
-    return seg.b_p, seg.b_q
+    swapped = associate_endpoints_batch(
+        seg.b_p, seg.b_q, np.asarray(p_c, dtype=float), np.asarray(q_c, dtype=float)
+    )
+    return EndpointPairing.SWAPPED if swapped else EndpointPairing.DIRECT
 
 
 def backprojection_distance(
@@ -324,46 +407,114 @@ def backprojection_distance(
 ) -> np.ndarray:
     """Per-endpoint residual d3D + mu * (distance to the paired backprojection)."""
     seg = BackprojectedSegment.from_observation(obs, intrinsics)
-    p_c = pose.transform(landmark.p)
-    q_c = pose.transform(landmark.q)
-    b_for_p, b_for_q = paired_backprojections(seg, association)
-    return np.array(
-        [
-            distance_3d(p_c, seg) + mu * endpoint_distance(p_c, b_for_p),
-            distance_3d(q_c, seg) + mu * endpoint_distance(q_c, b_for_q),
-        ]
+    points_c = np.stack([pose.transform(landmark.p), pose.transform(landmark.q)])
+    b_paired = np.stack(
+        paired_backprojections_batch(seg.b_p, seg.b_q, association is EndpointPairing.SWAPPED)
     )
+    return backprojection_distance_batch(points_c, seg.b_p, seg.b_q, b_paired, mu)
+
+
+def _raise_if_singular(singular, on_singular: str, message: str):
+    if on_singular != "zero" and np.any(singular):
+        raise SingularJacobianError(message)
+
+
+def distance_2d_jacobians(
+    line: Line2dParams, pose: Se3Pose, intrinsics: CameraIntrinsics, point_w
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows d(distance)/d(twist) and d(distance)/d(point) for the 2D term."""
+    point_c = in_front(pose.transform(point_w))
+    return distance_2d_jacobians_batch(intrinsics, line.normal, point_c, pose.rotation)
+
+
+def distance_3d_jacobians(
+    seg: BackprojectedSegment,
+    pose: Se3Pose,
+    point_w,
+    on_singular: str = "raise",
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of the perpendicular 3D distance w.r.t. twist and world point."""
+    point_c = pose.transform(point_w)
+    rows, singular = distance_3d_rows(point_c, seg.b_p, seg.b_q)
+    _raise_if_singular(singular, on_singular, "point lies on the backprojected line")
+    return pose_chain(rows, point_c, pose.rotation)
+
+
+def endpoint_distance_jacobians(
+    b, pose: Se3Pose, point_w, on_singular: str = "raise"
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of the endpoint-to-backprojection distance w.r.t. twist and point."""
+    point_c = pose.transform(point_w)
+    rows, singular = endpoint_distance_rows(point_c, np.asarray(b, dtype=float))
+    _raise_if_singular(singular, on_singular, "point coincides with the backprojection")
+    return pose_chain(rows, point_c, pose.rotation)
+
+
+def backprojection_distance_jacobians(
+    seg: BackprojectedSegment,
+    paired_b,
+    pose: Se3Pose,
+    point_w,
+    mu: float,
+    on_singular: str = "raise",
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of d3D + mu * dP for one endpoint, chained once through the pose."""
+    point_c = pose.transform(point_w)
+    j_pose, j_point, singular = backprojection_distance_jacobians_batch(
+        point_c, pose.rotation, seg.b_p, seg.b_q, np.asarray(paired_b, dtype=float), mu
+    )
+    _raise_if_singular(singular, on_singular, "point lies on a singular locus of d3D or dP")
+    return j_pose, j_point
 
 
 # ---------------------------------------------------------------------------
 # Covariances
 
 
-def _line_param_jacobians(p, q) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """d(n)/d(p,q), d(h)/d(p,q), the unit normal, and |l| for endpoints (p, q)."""
+def _line_param_jacobians_batch(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """d(n)/d(p,q) (..., 2, 4) and d(h)/d(p,q) (..., 4) for image endpoints (..., 2)."""
+    l = np.stack([q[..., 1] - p[..., 1], p[..., 0] - q[..., 0]], axis=-1)
+    norm = np.linalg.norm(l, axis=-1)[..., None]
+    n = l / norm
+    proj = np.eye(2) - n[..., :, None] * n[..., None, :]
+    dn = proj @ _DL_DPQ / norm[..., None]
+    dh = n @ _DP_DPQ + np.einsum("...i,...ij->...j", p, dn)
+    return dn, dh
+
+
+def _line_param_jacobians(p, q) -> tuple[np.ndarray, np.ndarray]:
+    """d(n)/d(p,q) and d(h)/d(p,q) for one pair of distinct endpoints."""
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
-    l = np.array([q[1] - p[1], p[0] - q[0]])
-    norm = np.linalg.norm(l)
-    if norm == 0.0:
+    if np.linalg.norm(p - q) == 0.0:
         raise DegenerateGeometryError("coincident endpoints")
-    n = l / norm
-    proj = np.eye(2) - np.outer(n, n)
-    dn = proj @ _DL_DPQ / norm
-    dh = n @ _DP_DPQ + p @ dn
-    return dn, dh, n, norm
+    return _line_param_jacobians_batch(p, q)
 
 
 def normal_covariance(p, q, sigma_li: float) -> np.ndarray:
     """Covariance of the unit line normal under iid endpoint noise."""
-    dn, _, _, _ = _line_param_jacobians(p, q)
+    dn, _ = _line_param_jacobians(p, q)
     return sigma_li * sigma_li * dn @ dn.T
 
 
 def offset_variance(p, q, sigma_li: float) -> float:
     """Variance of the signed line offset h under iid endpoint noise."""
-    _, dh, _, _ = _line_param_jacobians(p, q)
+    _, dh = _line_param_jacobians(p, q)
     return float(sigma_li * sigma_li * dh @ dh)
+
+
+def distance_2d_variance_batch(
+    intrinsics: CameraIntrinsics, p_px: np.ndarray, q_px: np.ndarray, points_c: np.ndarray, sigma_li
+) -> np.ndarray:
+    """First-order variances of the signed 2D distances w.r.t. endpoint noise.
+
+    Propagates iid endpoint noise through the full chain (p, q) -> (n, h) ->
+    distance, keeping the n-h cross covariance so the result matches direct
+    propagation through the four endpoint coordinates.
+    """
+    dn, dh = _line_param_jacobians_batch(p_px, q_px)
+    j_pq = np.einsum("...i,...ij->...j", project_batch(intrinsics, points_c), dn) - dh
+    return sigma_li * sigma_li * np.einsum("...i,...i->...", j_pq, j_pq)
 
 
 def distance_2d_variance(
@@ -373,58 +524,102 @@ def distance_2d_variance(
     point_w,
     sigma_li: float,
 ) -> float:
-    """First-order variance of the signed 2D distance w.r.t. endpoint noise.
-
-    Propagates iid endpoint noise through the full chain (p, q) -> (n, h) ->
-    distance, keeping the n-h cross covariance so the result matches direct
-    propagation through the four endpoint coordinates.
-    """
-    dn, dh, n, _ = _line_param_jacobians(obs.p, obs.q)
-    uv = project(intrinsics, pose.transform(point_w))
-    j_pq = uv @ dn - dh
-    return float(sigma_li * sigma_li * j_pq @ j_pq)
+    """First-order variance of the signed 2D distance w.r.t. endpoint noise."""
+    point_c = in_front(pose.transform(point_w))
+    return float(distance_2d_variance_batch(intrinsics, obs.p, obs.q, point_c, sigma_li))
 
 
-def backprojected_point_covariance(
-    pixel, depth: float, intrinsics: CameraIntrinsics, sigma_li: float, sigma_depth: float
+def backprojected_point_covariance_batch(
+    pixel: np.ndarray, depth, intrinsics: CameraIntrinsics, sigma_li, sigma_depth
 ) -> np.ndarray:
-    """Covariance of a backprojected endpoint under pixel and depth noise.
+    """Covariances (..., 3, 3) of backprojected endpoints under pixel and depth noise.
 
     Closed form of J diag(sigma_li^2, sigma_li^2, sigma_depth^2) J^T with
     J the backprojection Jacobian w.r.t. (u, v, depth); xn, yn below are the
     normalized image coordinates (the backprojected point divided by depth).
     """
-    u, v = np.asarray(pixel, dtype=float)
-    if not (np.isfinite(depth) and depth > 0):
-        raise DegenerateGeometryError(f"invalid depth {depth}")
-    xn = (u - intrinsics.cx) / intrinsics.fx
-    yn = (v - intrinsics.cy) / intrinsics.fy
+    xn = (pixel[..., 0] - intrinsics.cx) / intrinsics.fx
+    yn = (pixel[..., 1] - intrinsics.cy) / intrinsics.fy
     var_li = sigma_li * sigma_li
     var_z = sigma_depth * sigma_depth
     d2 = depth * depth
-    return np.array(
-        [
-            [var_z * xn * xn + d2 * var_li / intrinsics.fx**2, var_z * xn * yn, var_z * xn],
-            [var_z * xn * yn, var_z * yn * yn + d2 * var_li / intrinsics.fy**2, var_z * yn],
-            [var_z * xn, var_z * yn, var_z],
-        ]
+    xx, xy, xz, yy, yz, zz = np.broadcast_arrays(
+        var_z * xn * xn + d2 * var_li / intrinsics.fx**2,
+        var_z * xn * yn,
+        var_z * xn,
+        var_z * yn * yn + d2 * var_li / intrinsics.fy**2,
+        var_z * yn,
+        var_z,
     )
+    return np.stack(
+        [np.stack(r, axis=-1) for r in ((xx, xy, xz), (xy, yy, yz), (xz, yz, zz))], axis=-2
+    )
+
+
+def backprojected_point_covariance(
+    pixel, depth: float, intrinsics: CameraIntrinsics, sigma_li: float, sigma_depth: float
+) -> np.ndarray:
+    """Covariance of one backprojected endpoint under pixel and depth noise."""
+    if not (np.isfinite(depth) and depth > 0):
+        raise DegenerateGeometryError(f"invalid depth {depth}")
+    pixel = np.asarray(pixel, dtype=float)
+    return backprojected_point_covariance_batch(pixel, depth, intrinsics, sigma_li, sigma_depth)
+
+
+def _distance_3d_segment_rows(
+    points_c: np.ndarray, b_p: np.ndarray, b_q: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """d(d3D)/d(b_p) and d(d3D)/d(b_q), (..., 3) each, zero where the point is on
+    the line, and that on-line mask."""
+    dp = points_c - b_p
+    dq = points_c - b_q
+    v = np.cross(dp, dq)
+    v_norm = np.linalg.norm(v, axis=-1)[..., None]
+    db = b_p - b_q
+    db_norm = np.linalg.norm(db, axis=-1)[..., None]
+    singular = v_norm[..., 0] < EPS_V
+    scale = np.maximum(v_norm, EPS_V) * db_norm
+    along = v_norm * db / db_norm**3
+    row_bp = np.cross(v, dq) / scale - along
+    row_bq = -np.cross(v, dp) / scale + along
+    on_line = singular[..., None]
+    return np.where(on_line, 0.0, row_bp), np.where(on_line, 0.0, row_bq), singular
 
 
 def _distance_3d_rows(point_c, seg: BackprojectedSegment) -> tuple[np.ndarray, np.ndarray] | None:
     """d(d3D)/d(b_p) and d(d3D)/d(b_q) at a camera-frame point; None when on-line."""
-    x = np.asarray(point_c, dtype=float)
-    dp = x - seg.b_p
-    dq = x - seg.b_q
-    v = np.cross(dp, dq)
-    v_norm = np.linalg.norm(v)
-    if v_norm < EPS_V:
-        return None
-    db = seg.b_p - seg.b_q
-    db_norm = np.linalg.norm(db)
-    row_bp = v @ hat3(dq) / (v_norm * db_norm) - v_norm * db / db_norm**3
-    row_bq = -v @ hat3(dp) / (v_norm * db_norm) + v_norm * db / db_norm**3
-    return row_bp, row_bq
+    row_bp, row_bq, singular = _distance_3d_segment_rows(
+        np.asarray(point_c, dtype=float), seg.b_p, seg.b_q
+    )
+    return None if singular else (row_bp, row_bq)
+
+
+def backprojection_distance_covariance_batch(
+    p_c: np.ndarray, q_c: np.ndarray, b_p, b_q, swapped, cov_bp, cov_bq, mu: float
+) -> np.ndarray:
+    """Variances (..., 2) of the backprojection-distance residuals at (P, Q).
+
+    Each propagates the per-endpoint backprojection covariances through
+    d3D + mu * dP evaluated at that map endpoint; the cross-endpoint coupling
+    is deliberately dropped. Where the map endpoint sits on the backprojected
+    line the d3D derivative is singular and the propagation keeps the dP part
+    alone; where that also vanishes the variance is 0.
+    """
+    swapped = np.asarray(swapped, dtype=bool)
+    b_for_p, b_for_q = paired_backprojections_batch(b_p, b_q, swapped)
+    variances = []
+    for x, paired, takes_bp in ((p_c, b_for_p, ~swapped), (q_c, b_for_q, swapped)):
+        row_bp, row_bq, _ = _distance_3d_segment_rows(x, b_p, b_q)
+        # d|X - b|/db = -d|X - b|/dX, added to the row of the paired endpoint
+        row_x, _ = endpoint_distance_rows(x, paired)
+        takes_bp = takes_bp[..., None]
+        row_bp = row_bp - mu * np.where(takes_bp, row_x, 0.0)
+        row_bq = row_bq - mu * np.where(takes_bp, 0.0, row_x)
+        variances.append(
+            np.einsum("...i,...ij,...j->...", row_bp, cov_bp, row_bp)
+            + np.einsum("...i,...ij,...j->...", row_bq, cov_bq, row_bq)
+        )
+    return np.stack(variances, axis=-1)
 
 
 def backprojection_distance_covariance(
@@ -439,12 +634,9 @@ def backprojection_distance_covariance(
 ) -> np.ndarray:
     """Diagonal 2x2 covariance of the backprojection-distance residual.
 
-    Each diagonal entry propagates the per-endpoint backprojection
-    covariances through d3D + mu * dP evaluated at that map endpoint; the
-    cross-endpoint coupling is deliberately dropped. When the map endpoint
-    sits on the backprojected line the d3D derivative is singular and the
-    propagation falls back to the dP part alone; if that also vanishes the
-    observation carries no usable information and the call fails.
+    See ``backprojection_distance_covariance_batch``. When a propagated
+    variance vanishes the observation carries no usable information and the
+    call fails.
     """
     seg = BackprojectedSegment.from_observation(obs, intrinsics)
     cov_bp = backprojected_point_covariance(
@@ -453,126 +645,12 @@ def backprojection_distance_covariance(
     cov_bq = backprojected_point_covariance(
         obs.q, obs.depth_q, intrinsics, sigma_li, sigma_z(depth_noise, obs.depth_q)
     )
-    b_for_p, b_for_q = paired_backprojections(seg, association)
-    p_uses_bp = association is EndpointPairing.DIRECT
-
-    variances = []
-    for point_w, paired_b, paired_is_bp in (
-        (landmark.p, b_for_p, p_uses_bp),
-        (landmark.q, b_for_q, not p_uses_bp),
-    ):
-        x = pose.transform(point_w)
-        rows = _distance_3d_rows(x, seg)
-        if rows is None:
-            row_bp = np.zeros(3)
-            row_bq = np.zeros(3)
-        else:
-            row_bp, row_bq = rows
-        delta = x - paired_b
-        delta_norm = np.linalg.norm(delta)
-        if delta_norm >= EPS_ENDPOINT:
-            dp_row = -delta / delta_norm
-            if paired_is_bp:
-                row_bp = row_bp + mu * dp_row
-            else:
-                row_bq = row_bq + mu * dp_row
-        variances.append(row_bp @ cov_bp @ row_bp + row_bq @ cov_bq @ row_bq)
-
-    variances = np.asarray(variances, dtype=float)
+    variances = backprojection_distance_covariance_batch(
+        pose.transform(landmark.p), pose.transform(landmark.q), seg.b_p, seg.b_q,
+        association is EndpointPairing.SWAPPED, cov_bp, cov_bq, mu,
+    )
     if np.any(variances <= 0.0):
         raise DegenerateGeometryError(
             "propagated backprojection-distance variance vanished"
         )
     return np.diag(variances)
-
-
-# ---------------------------------------------------------------------------
-# Jacobians of the error terms (twist columns ordered (phi, rho))
-
-
-def distance_2d_jacobians(
-    line: Line2dParams, pose: Se3Pose, intrinsics: CameraIntrinsics, point_w
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows d(distance)/d(twist) and d(distance)/d(point) for the 2D term."""
-    x_c = pose.transform(point_w)
-    row_c = line.normal @ projection_jacobian(intrinsics, x_c)
-    return row_c @ left_perturbation_point_jacobian(x_c), row_c @ pose.rotation
-
-
-def _chain_rows(row_c: np.ndarray, x_c: np.ndarray, pose: Se3Pose):
-    return row_c @ left_perturbation_point_jacobian(x_c), row_c @ pose.rotation
-
-
-def distance_3d_jacobians(
-    seg: BackprojectedSegment,
-    pose: Se3Pose,
-    point_w,
-    on_singular: str = "raise",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of the perpendicular 3D distance w.r.t. twist and world point."""
-    x_c = pose.transform(point_w)
-    v = np.cross(x_c - seg.b_p, x_c - seg.b_q)
-    v_norm = np.linalg.norm(v)
-    db = seg.b_p - seg.b_q
-    if v_norm < EPS_V:
-        if on_singular == "zero":
-            return np.zeros(6), np.zeros(3)
-        raise SingularJacobianError("point lies on the backprojected line")
-    row_c = -v @ hat3(db) / (v_norm * np.linalg.norm(db))
-    return _chain_rows(row_c, x_c, pose)
-
-
-def endpoint_distance_jacobians(
-    b, pose: Se3Pose, point_w, on_singular: str = "raise"
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of the endpoint-to-backprojection distance w.r.t. twist and point."""
-    x_c = pose.transform(point_w)
-    delta = x_c - np.asarray(b, dtype=float)
-    norm = np.linalg.norm(delta)
-    if norm < EPS_ENDPOINT:
-        if on_singular == "zero":
-            return np.zeros(6), np.zeros(3)
-        raise SingularJacobianError("point coincides with the backprojection")
-    return _chain_rows(delta / norm, x_c, pose)
-
-
-def backprojection_distance_jacobians(
-    seg: BackprojectedSegment,
-    paired_b,
-    pose: Se3Pose,
-    point_w,
-    mu: float,
-    on_singular: str = "raise",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of d3D + mu * dP for one endpoint, chained once through the pose."""
-    x_c = pose.transform(point_w)
-    v = np.cross(x_c - seg.b_p, x_c - seg.b_q)
-    v_norm = np.linalg.norm(v)
-    db = seg.b_p - seg.b_q
-    if v_norm < EPS_V:
-        if on_singular != "zero":
-            raise SingularJacobianError("point lies on the backprojected line")
-        row_c = np.zeros(3)
-    else:
-        row_c = -v @ hat3(db) / (v_norm * np.linalg.norm(db))
-    delta = x_c - np.asarray(paired_b, dtype=float)
-    norm = np.linalg.norm(delta)
-    if norm < EPS_ENDPOINT:
-        if on_singular != "zero":
-            raise SingularJacobianError("point coincides with the backprojection")
-    else:
-        row_c = row_c + mu * delta / norm
-    return _chain_rows(row_c, x_c, pose)
-
-
-def line_error_jacobians(term: str, **inputs) -> tuple[np.ndarray, np.ndarray]:
-    """Dispatch to the per-term Jacobian functions by tag {d2d, d3d, dp, db}."""
-    table = {
-        "d2d": distance_2d_jacobians,
-        "d3d": distance_3d_jacobians,
-        "dp": endpoint_distance_jacobians,
-        "db": backprojection_distance_jacobians,
-    }
-    if term not in table:
-        raise ValueError(f"unknown line error term {term!r}")
-    return table[term](**inputs)

@@ -45,8 +45,8 @@ def test_stereo_line_observation_contributes_two_terms():
                             depth_q=float(pose.transform(ln.q)[2])),
         )
     problem = assemble_problem(m, BaConfig(fix_first_pose=True))
-    kinds = sorted(t.kind for t in problem.terms)
-    assert kinds == ["line_2d", "line_2d", "line_3d", "line_3d"]
+    counts = {t.kind: len(t) for t in problem.tables}
+    assert counts == {"line_2d": 2, "line_3d": 2}
 
 
 def test_mono_line_needs_three_observations():
@@ -64,7 +64,7 @@ def test_mono_line_needs_three_observations():
             LineObservation(project(K, pose.transform(ln.p)), project(K, pose.transform(ln.q))),
         )
     problem = assemble_problem(m, BaConfig())
-    assert sum(t.kind.startswith("line") for t in problem.terms) == 0
+    assert sum(len(t) for t in problem.tables if t.kind.startswith("line")) == 0
     # a third mono observation activates the 2D terms
     m2 = SparseMap(K)
     for kf_id in range(3):
@@ -77,7 +77,7 @@ def test_mono_line_needs_three_observations():
             LineObservation(project(K, pose.transform(ln.p)), project(K, pose.transform(ln.q))),
         )
     problem = assemble_problem(m2, BaConfig())
-    assert sum(t.kind == "line_2d" for t in problem.terms) == 3
+    assert sum(len(t) for t in problem.tables if t.kind == "line_2d") == 3
 
 
 def test_empty_problem_rejected():
@@ -351,3 +351,261 @@ def test_report_csv_shape():
     lines = text.strip().splitlines()
     assert lines[0].startswith("iteration,cost,lambda,accepted,step_norm")
     assert len(lines) == len(report.rows) + 1
+
+
+# -- assembly against the per-observation functions -----------------------------
+
+
+def _observed_map(rng) -> SparseMap:
+    """Three keyframes observing mono, binocular and RGB-D points, a mono line
+    seen three times and stereo lines, one of them recorded with its image
+    endpoints reversed (SWAPPED pairing). Observations carry small noise."""
+    m = SparseMap(K)
+    poses = [
+        Se3Pose.identity(),
+        se3_exp(np.array([0.01, -0.02, 0.01, -0.1, 0.02, 0.01])),
+        se3_exp(np.array([-0.02, 0.01, 0.02, 0.05, -0.08, 0.03])),
+    ]
+    for i, pose in enumerate(poses):
+        m.add_keyframe(pose, kf_id=i)
+    for channel in ("mono", "mono", "right_u", "right_u", "depth", "depth"):
+        pt = m.add_point(np.append(rng.uniform(-0.5, 0.5, 2), rng.uniform(1.5, 3.0)))
+        for i, pose in enumerate(poses):
+            x_c = pose.transform(pt.position)
+            uv = project(K, x_c) + rng.normal(size=2) * 0.5
+            extra = {}
+            if channel == "right_u":
+                extra["right_u"] = virtual_right_coordinate(K, uv[0], x_c[2]) + rng.normal() * 0.5
+            elif channel == "depth":
+                extra["depth"] = x_c[2] + rng.normal() * 0.01
+            m.add_point_observation(i, pt.id, PointObservation(uv, level=i, **extra))
+
+    def line_obs(pose, p_w, q_w, stereo, level):
+        ends = [pose.transform(x) for x in (p_w, q_w)]
+        px = [project(K, x) + rng.normal(size=2) * 0.5 for x in ends]
+        if not stereo:
+            return LineObservation(px[0], px[1], level=level)
+        depths = [float(x[2] + rng.normal() * 0.01) for x in ends]
+        return LineObservation(px[0], px[1], depth_p=depths[0], depth_q=depths[1], level=level)
+
+    mono = m.add_line([-0.4, 0.1, 2.2], [0.3, -0.2, 2.6])
+    stereo = m.add_line([-0.3, -0.3, 2.0], [0.4, 0.2, 2.4])
+    reversed_ = m.add_line([0.2, 0.4, 1.8], [-0.3, 0.1, 2.3])
+    for i, pose in enumerate(poses):
+        m.add_line_observation(i, mono.id, line_obs(pose, mono.p, mono.q, False, i))
+        m.add_line_observation(i, stereo.id, line_obs(pose, stereo.p, stereo.q, True, i))
+        # the image endpoint recorded first is the one of landmark endpoint Q
+        m.add_line_observation(i, reversed_.id, line_obs(pose, reversed_.q, reversed_.p, True, i))
+    return m
+
+
+def _oracle_rows(m: SparseMap, config: BaConfig) -> dict:
+    """Per kind, in assembly order: (kf id, landmark id, residual, covariance
+    and, for line_3d, the pairing) from the per-observation functions."""
+    from collections import defaultdict
+
+    from pointline.lines import (
+        BackprojectedSegment,
+        EndpointPairing,
+        associate_endpoints,
+        backprojection_distance,
+        backprojection_distance_covariance,
+        distance_2d,
+        distance_2d_variance,
+    )
+    from pointline.noise import sigma_pixel
+    from pointline.point_errors import (
+        depth_point_residual,
+        mono_point_residual,
+        rgbd_point_residual,
+        stereo_point_residual,
+    )
+
+    rows = defaultdict(list)
+    noise = (config.pixel_noise, config.depth_noise)
+    for kf_id in sorted(m.keyframes):
+        kf = m.keyframes[kf_id]
+        pose = kf.pose
+        for pid in sorted(kf.point_obs):
+            obs, lm = kf.point_obs[pid], m.points[pid]
+            if obs.is_mono:
+                rows["point_mono"].append((kf_id, pid, *mono_point_residual(obs, pose, K, lm, noise[0])))
+            elif obs.right_u is not None:
+                res, cov = stereo_point_residual(obs, pose, K, lm, noise[0])
+                if config.cov_mode == "propagated_cov":
+                    disparity_depth = K.baseline * K.fx / (obs.pixel[0] - obs.right_u)
+                    as_rgbd = PointObservation(obs.pixel, depth=disparity_depth, level=obs.level)
+                    _, cov = rgbd_point_residual(as_rgbd, pose, K, lm, *noise, "propagated_cov")
+                rows["point_stereo"].append((kf_id, pid, res, cov))
+            elif config.point_residual == "depth":
+                rows["point_depth"].append((kf_id, pid, *depth_point_residual(obs, pose, K, lm, *noise)))
+            else:
+                res_cov = rgbd_point_residual(obs, pose, K, lm, *noise, config.cov_mode)
+                rows["point_stereo"].append((kf_id, pid, *res_cov))
+        for lid in sorted(kf.line_obs):
+            obs, lm = kf.line_obs[lid], m.lines[lid]
+            sigma = sigma_pixel(config.pixel_noise, obs.level)
+            params = obs.line_params()
+            res = [distance_2d(params, pose, K, x) for x in (lm.p, lm.q)]
+            var = [distance_2d_variance(obs, pose, K, x, sigma) for x in (lm.p, lm.q)]
+            rows["line_2d"].append((kf_id, lid, np.array(res), np.diag(var)))
+            if obs.is_stereo:
+                seg = BackprojectedSegment.from_observation(obs, K)
+                pairing = associate_endpoints(seg, pose.transform(lm.p), pose.transform(lm.q))
+                res = backprojection_distance(obs, pose, K, lm, config.mu, pairing)
+                cov = backprojection_distance_covariance(
+                    obs, pose, K, lm, config.mu, pairing, sigma, config.depth_noise
+                )
+                rows["line_3d"].append((kf_id, lid, res, cov, pairing is EndpointPairing.SWAPPED))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        dict(cov_mode="identity_cov"),
+        dict(cov_mode="propagated_cov"),
+        dict(point_residual="depth"),
+    ],
+)
+def test_assembled_tables_match_per_observation_functions(overrides):
+    m = _observed_map(np.random.default_rng(12))
+    config = BaConfig(kernel="none", **overrides)
+    problem = assemble_problem(m, config)
+    expected = _oracle_rows(m, config)
+
+    kinds = [t.kind for t in problem.tables]
+    assert kinds == [k for k in ("point_mono", "point_stereo", "point_depth", "line_2d", "line_3d")
+                     if k in expected]
+    for table in problem.tables:
+        rows = expected[table.kind]
+        assert len(table) == len(rows)
+        res, ok = problem._residuals(problem.initial_state, table)
+        assert ok
+        ids = problem.point_ids if table.kind.startswith("point") else problem.line_ids
+        for i, (kf_id, lm_id, want_res, want_cov, *pairing) in enumerate(rows):
+            assert problem.kf_ids[table.kf_slot[i]] == kf_id
+            assert ids[table.lm_slot[i]] == lm_id
+            assert np.allclose(res[i], want_res, rtol=1e-12, atol=1e-12)
+            want_info = np.linalg.inv(want_cov)
+            assert np.abs(table.info[i] - want_info).max() <= 1e-12 * np.abs(want_info).max()
+            if pairing:
+                assert bool(table.swapped[i]) == pairing[0]
+    swapped = problem.tables[-1].swapped
+    assert swapped.any() and not swapped.all()
+    assert problem.covariance_fallbacks == 0
+
+
+def test_covariance_fallbacks_counted():
+    from pointline.lines import BackprojectedSegment
+
+    m = SparseMap(K)
+    poses = [
+        Se3Pose.identity(),
+        Se3Pose(np.eye(3), np.array([-0.1, 0.0, 0.0])),
+        Se3Pose(np.eye(3), np.array([0.0, 0.0, -2.5])),
+    ]
+    for i, pose in enumerate(poses):
+        m.add_keyframe(pose, kf_id=i)
+    # noise-free, consistent stereo line: its propagated variances vanish in
+    # both keyframes that see it
+    consistent = m.add_line([-0.2, 0.0, 2.0], [0.3, 0.1, 2.2])
+    for i in (0, 1):
+        ends = [poses[i].transform(x) for x in (consistent.p, consistent.q)]
+        m.add_line_observation(
+            i, consistent.id,
+            LineObservation(project(K, ends[0]), project(K, ends[1]),
+                            depth_p=float(ends[0][2]), depth_q=float(ends[1][2])),
+        )
+    # mono line whose endpoint Q (z = 2) lies behind keyframe 2 (z_c = -0.5)
+    behind = m.add_line([-0.3, 0.2, 3.0], [0.2, -0.1, 2.0])
+    for i in (0, 1):
+        ends = [poses[i].transform(x) for x in (behind.p, behind.q)]
+        m.add_line_observation(i, behind.id, LineObservation(project(K, ends[0]), project(K, ends[1])))
+    m.add_line_observation(2, behind.id, LineObservation([300.0, 200.0], [380.0, 260.0]))
+    assert poses[2].transform(behind.q)[2] < 0
+
+    problem = assemble_problem(m, BaConfig())
+    assert problem.covariance_fallbacks == 3
+    unit = np.eye(2)
+    for table in problem.tables:
+        for i in range(len(table)):
+            kf_id = problem.kf_ids[table.kf_slot[i]]
+            line_id = problem.line_ids[table.lm_slot[i]]
+            falls_back = (table.kind == "line_3d" and line_id == consistent.id) or (
+                table.kind == "line_2d" and line_id == behind.id and kf_id == 2
+            )
+            assert np.array_equal(table.info[i], unit) == falls_back
+    # the consistent line's backprojection really is its landmark
+    seg = BackprojectedSegment.from_observation(m.keyframes[0].line_obs[consistent.id], K)
+    assert np.abs(seg.b_p - consistent.p).max() < 1e-12
+
+
+# -- covariance refresh -----------------------------------------------------------
+
+
+def _noisy_problem():
+    cfg = scene_config(
+        keyframes=5, points=30, lines=8, seed=4, noise_scale=1.0,
+        perturb_translation=0.02, perturb_rotation_deg=1.0,
+        perturb_points=0.02, perturb_lines=0.02,
+    )
+    _, smap = generate_scene(cfg)
+    return smap, assemble_problem(smap, BaConfig())
+
+
+def test_refresh_at_initial_state_reproduces_assembly():
+    from pointline.ba import _refresh_covariances
+
+    _, problem = _noisy_problem()
+    assembled = [t.info.copy() for t in problem.tables]
+    assert {t.kind for t in problem.tables} >= {"line_2d", "line_3d"}
+    _refresh_covariances(problem, problem.initial_state)
+    for table, info in zip(problem.tables, assembled):
+        assert np.array_equal(table.info, info)
+
+
+def test_refresh_matches_per_term_covariances_at_moved_state():
+    from pointline.ba import _refresh_covariances
+    from pointline.lines import (
+        EndpointPairing,
+        LineLandmark,
+        backprojection_distance_covariance,
+        distance_2d_variance,
+    )
+    from pointline.noise import sigma_pixel
+
+    smap, problem = _noisy_problem()
+    config, k = problem.config, problem.intrinsics
+    step = np.random.default_rng(5).normal(size=problem.n_params) * 1e-3
+    state = problem.retract(problem.initial_state, step)
+    _refresh_covariances(problem, state)
+    assert problem.covariance_fallbacks == 0
+    checked = 0
+    for table in problem.tables:
+        if not table.kind.startswith("line"):
+            continue
+        for i in range(len(table)):
+            kf, ln = table.kf_slot[i], table.lm_slot[i]
+            pose = Se3Pose(state.rotations[kf], state.translations[kf])
+            lm = LineLandmark(state.lines[ln, 0], state.lines[ln, 1])
+            obs = smap.keyframes[problem.kf_ids[kf]].line_obs[problem.line_ids[ln]]
+            sigma = sigma_pixel(config.pixel_noise, obs.level)
+            if table.kind == "line_2d":
+                var = np.array([distance_2d_variance(obs, pose, k, x, sigma) for x in (lm.p, lm.q)])
+            else:
+                pairing = EndpointPairing.SWAPPED if table.swapped[i] else EndpointPairing.DIRECT
+                var = np.diag(backprojection_distance_covariance(
+                    obs, pose, k, lm, config.mu, pairing, sigma, config.depth_noise
+                ))
+            assert np.abs(np.diag(table.info[i]) * var - 1.0).max() < 1e-12
+            assert table.info[i, 0, 1] == 0.0 and table.info[i, 1, 0] == 0.0
+            checked += 1
+    assert checked > 0
+
+
+def test_optimize_with_covariance_refresh_is_finite():
+    _, problem = _noisy_problem()
+    _, report = optimize(problem, LmSchedule(max_iters=8, refresh_covariances=True))
+    assert np.isfinite(report.final_cost)
+    assert report.final_cost <= report.initial_cost

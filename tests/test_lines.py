@@ -21,7 +21,6 @@ from pointline.lines import (
     distance_3d_jacobians,
     endpoint_distance,
     endpoint_distance_jacobians,
-    line_error_jacobians,
     line_params_from_endpoints,
     normal_covariance,
     offset_variance,
@@ -389,18 +388,6 @@ def test_gauge_null_space_property():
         _, jp_dp = endpoint_distance_jacobians(b_displaced, pose, p_w)
         assert abs(jp_dp @ direction - 1.0) < 1e-9
         checked += 1
-
-
-def test_line_error_jacobians_dispatch():
-    obs = LineObservation([300, 240], [340, 250], depth_p=2.0, depth_q=2.2)
-    seg = BackprojectedSegment.from_observation(obs, K)
-    pose = Se3Pose.identity()
-    x_w = seg.b_p + np.array([0.1, 0.2, 0.1])
-    a = line_error_jacobians("d3d", seg=seg, pose=pose, point_w=x_w)
-    b = distance_3d_jacobians(seg, pose, x_w)
-    assert np.allclose(a[0], b[0]) and np.allclose(a[1], b[1])
-    with pytest.raises(ValueError):
-        line_error_jacobians("nope")
 
 
 def test_observation_validation():
