@@ -93,7 +93,6 @@ class LmSchedule:
     lambda_down: float = 10.0
     lambda_min: float = 1e-12
     lambda_max: float = 1e10
-    damping: str = "identity"  # identity | diagonal
     linear_solver: str = "schur"  # schur | dense
     refresh_covariances: bool = False
 
@@ -197,6 +196,43 @@ class _Table:
     def paired(self) -> np.ndarray:
         """line_3d: the backprojected endpoint paired with P and with Q, (N, 2, 3)."""
         return np.stack(paired_backprojections_batch(self.b_p, self.b_q, self.swapped), axis=1)
+
+
+@dataclass
+class NormalEquations:
+    """Undamped H = J^T W J and g = J^T W r over the free parameters, in blocks.
+
+    Every term couples one pose and one landmark, so H's pose part and its
+    landmark part are block diagonal; ``w_point`` and ``w_line`` hold the
+    pose-landmark coupling, H's off-diagonal part.
+    """
+
+    pose: np.ndarray  # (K, 6, 6) free-pose blocks
+    point: np.ndarray  # (P, 3, 3) free-point blocks
+    line: np.ndarray  # (L, 6, 6) free-line blocks
+    w_point: np.ndarray  # (K, 6, P, 3)
+    w_line: np.ndarray  # (K, 6, L, 6)
+    g: np.ndarray  # (n,) in the layout [poses | points | lines]
+
+    def dense(self) -> np.ndarray:
+        """H as one dense n x n matrix, for the reference dense solve and tests."""
+        k6, p3, l6 = 6 * len(self.pose), 3 * len(self.point), 6 * len(self.line)
+        w_point = self.w_point.reshape(k6, p3)
+        w_line = self.w_line.reshape(k6, l6)
+        zeros = np.zeros((p3, l6))
+        return np.block([
+            [_block_diagonal(self.pose), w_point, w_line],
+            [w_point.T, _block_diagonal(self.point), zeros],
+            [w_line.T, zeros.T, _block_diagonal(self.line)],
+        ])
+
+
+def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
+    """(count, d, d) blocks as one (count*d, count*d) block-diagonal matrix."""
+    count, d, _ = blocks.shape
+    out = np.zeros((count, d, count, d))
+    out[np.arange(count), :, np.arange(count), :] = blocks
+    return out.reshape(count * d, count * d)
 
 
 def _camera_frame(state: State, table: _Table):
@@ -311,12 +347,15 @@ class Problem:
         j_lm[:, 1, 3:] = j_end[:, 1]
         return j_pose, j_lm
 
-    def linearize(self, state: State) -> tuple[np.ndarray, np.ndarray]:
-        """Dense damped-equation ingredients: undamped H = J^T W J and g = J^T W r
-        over the free parameters, robust IRLS weights folded into W."""
-        n = self.n_params
-        h = np.zeros((n, n))
-        g = np.zeros(n)
+    def linearize(self, state: State) -> NormalEquations:
+        """Undamped H = J^T W J and g = J^T W r over the free parameters, robust
+        IRLS weights folded into W, each term added straight into its blocks."""
+        k, n_pt, n_ln = self.n_free_poses, self.n_free_points, self.n_free_lines
+        ne = NormalEquations(
+            np.zeros((k, 6, 6)), np.zeros((n_pt, 3, 3)), np.zeros((n_ln, 6, 6)),
+            np.zeros((k, 6, n_pt, 3)), np.zeros((k, 6, n_ln, 6)), np.zeros(self.n_params),
+        )
+        g_pose = ne.g[: self.point_offset].reshape(k, 6)
         for table in self.tables:
             res, valid = self._residuals(state, table)
             if not valid:
@@ -328,39 +367,30 @@ class Problem:
 
             if table.kind.startswith("point"):
                 lm_param = self.point_param[table.lm_slot]
-                lm_offset = self.point_offset
-                d = 3
+                lm_blocks, coupling = ne.point, ne.w_point
+                g_lm = ne.g[self.point_offset : self.line_offset].reshape(n_pt, 3)
             else:
                 lm_param = self.line_param[table.lm_slot]
-                lm_offset = self.line_offset
-                d = 6
+                lm_blocks, coupling = ne.line, ne.w_line
+                g_lm = ne.g[self.line_offset :].reshape(n_ln, 6)
             pose_param = self.pose_param[table.kf_slot]
             pose_on = pose_param >= 0
             lm_on = lm_param >= 0
+            both = pose_on & lm_on
 
             aj_pose = np.einsum("nrs,nsj->nrj", winfo, j_pose)
             aj_lm = np.einsum("nrs,nsj->nrj", winfo, j_lm)
-
-            if np.any(pose_on):
-                rows = (6 * pose_param[pose_on, None] + np.arange(6)[None, :])
-                blocks = np.einsum("nri,nrj->nij", j_pose[pose_on], aj_pose[pose_on])
-                np.add.at(h, (rows[:, :, None], rows[:, None, :]), blocks)
-                gp = np.einsum("nri,nr->ni", aj_pose[pose_on], res[pose_on])
-                np.add.at(g, rows, gp)
-            if np.any(lm_on):
-                cols = lm_offset + d * lm_param[lm_on, None] + np.arange(d)[None, :]
-                blocks = np.einsum("nri,nrj->nij", j_lm[lm_on], aj_lm[lm_on])
-                np.add.at(h, (cols[:, :, None], cols[:, None, :]), blocks)
-                gl = np.einsum("nri,nr->ni", aj_lm[lm_on], res[lm_on])
-                np.add.at(g, cols, gl)
-            both = pose_on & lm_on
-            if np.any(both):
-                rows = 6 * pose_param[both, None] + np.arange(6)[None, :]
-                cols = lm_offset + d * lm_param[both, None] + np.arange(d)[None, :]
-                w_blocks = np.einsum("nri,nrj->nij", j_pose[both], aj_lm[both])
-                np.add.at(h, (rows[:, :, None], cols[:, None, :]), w_blocks)
-                np.add.at(h, (cols[:, :, None], rows[:, None, :]), np.swapaxes(w_blocks, 1, 2))
-        return h, g
+            on = pose_param[pose_on]
+            np.add.at(ne.pose, on, np.einsum("nri,nrj->nij", j_pose[pose_on], aj_pose[pose_on]))
+            np.add.at(g_pose, on, np.einsum("nri,nr->ni", aj_pose[pose_on], res[pose_on]))
+            on = lm_param[lm_on]
+            np.add.at(lm_blocks, on, np.einsum("nri,nrj->nij", j_lm[lm_on], aj_lm[lm_on]))
+            np.add.at(g_lm, on, np.einsum("nri,nr->ni", aj_lm[lm_on], res[lm_on]))
+            np.add.at(
+                coupling, (pose_param[both], slice(None), lm_param[both]),
+                np.einsum("nri,nrj->nij", j_pose[both], aj_lm[both]),
+            )
+        return ne
 
     # -- state updates ------------------------------------------------------------
 
@@ -472,10 +502,6 @@ def assemble_problem(
     line_free = np.full(len(line_ids), not config.fix_lines)
 
     # One walk over the observations appends a row per term to its family.
-    # Measurements and variances go in as small arrays: the blocks they free
-    # once stacked serve the solver's later small allocations, which would
-    # otherwise split the heap around the dense H and raise the peak memory
-    # of some scenes by one H.
     point_slot = {pid: i for i, pid in enumerate(point_ids)}
     line_slot = {lid: i for i, lid in enumerate(line_ids)}
     propagated = config.cov_mode == "propagated_cov"
@@ -580,72 +606,57 @@ def assemble_problem(
 # Damped solves
 
 
-def _damping_vector(h: np.ndarray, lamda: float, mode: str) -> np.ndarray:
-    if mode == "diagonal":
-        return lamda * np.maximum(np.diag(h), 1e-12)
-    return np.full(h.shape[0], lamda)
-
-
-def _solve_dense(h: np.ndarray, g: np.ndarray, damp: np.ndarray) -> np.ndarray:
+def _solve_dense(ne: NormalEquations, lamda: float) -> np.ndarray:
+    h = ne.dense()
+    h[np.diag_indices_from(h)] += lamda
     try:
-        return np.linalg.solve(h + np.diag(damp), -g)
+        return np.linalg.solve(h, -ne.g)
     except np.linalg.LinAlgError as e:
         raise SingularSystemError(f"damped normal equations singular: {e}") from e
 
 
-def _solve_schur(problem: Problem, h: np.ndarray, g: np.ndarray, damp: np.ndarray) -> np.ndarray:
+def _solve_schur(ne: NormalEquations, lamda: float) -> np.ndarray:
     """Eliminate landmark blocks, solve the reduced pose system, back-substitute.
 
     Exact block elimination of the same damped system the dense path solves.
     """
-    np_pose = problem.point_offset
-    np_point = 3 * problem.n_free_points
-    np_line = 6 * problem.n_free_lines
-    if np_pose == 0:
-        return _solve_dense(h, g, damp)
-
-    h_pp = h[:np_pose, :np_pose] + np.diag(damp[:np_pose])
-    rhs = -g[:np_pose].copy()
-    s = h_pp.copy()
+    np_pose = 6 * len(ne.pose)
+    s = _block_diagonal(ne.pose)
+    s[np.diag_indices_from(s)] += lamda
+    rhs = -ne.g[:np_pose]
 
     pieces = []
-    for count, d, offset in (
-        (problem.n_free_points, 3, np_pose),
-        (problem.n_free_lines, 6, np_pose + np_point),
-    ):
-        if count == 0:
-            pieces.append(None)
-            continue
-        w = h[:np_pose, offset : offset + count * d].reshape(np_pose, count, d)
-        diag = h[offset : offset + count * d, offset : offset + count * d]
-        blocks = diag.reshape(count, d, count, d)[np.arange(count), :, np.arange(count), :].copy()
-        damp_blocks = damp[offset : offset + count * d].reshape(count, d)
-        blocks[:, np.arange(d), np.arange(d)] += damp_blocks
+    offset = np_pose
+    for blocks, coupling in ((ne.point, ne.w_point), (ne.line, ne.w_line)):
+        count, d, _ = blocks.shape
+        w = coupling.reshape(np_pose, count, d)
+        g_l = ne.g[offset : offset + count * d].reshape(count, d)
+        offset += count * d
         try:
-            inv_blocks = np.linalg.inv(blocks)
+            inv_blocks = np.linalg.inv(blocks + lamda * np.eye(d))
         except np.linalg.LinAlgError as e:
             raise SingularSystemError(f"landmark block singular: {e}") from e
-        g_l = g[offset : offset + count * d].reshape(count, d)
         w_inv = np.einsum("ind,ndk->ink", w, inv_blocks)
         s -= np.einsum("ink,jnk->ij", w_inv, w)
         rhs += np.einsum("ink,nk->i", w_inv, g_l)
-        pieces.append((w, inv_blocks, g_l, offset, count, d))
+        pieces.append((w, inv_blocks, g_l))
 
     try:
         x_pose = np.linalg.solve(s, rhs)
     except np.linalg.LinAlgError as e:
         raise SingularSystemError(f"reduced pose system singular: {e}") from e
 
-    delta = np.zeros(problem.n_params)
-    delta[:np_pose] = x_pose
-    for piece in pieces:
-        if piece is None:
-            continue
-        w, inv_blocks, g_l, offset, count, d = piece
+    delta = [x_pose]
+    for w, inv_blocks, g_l in pieces:
         rhs_l = -g_l - np.einsum("ind,i->nd", w, x_pose)
-        x_l = np.einsum("ndk,nk->nd", inv_blocks, rhs_l)
-        delta[offset : offset + count * d] = x_l.reshape(-1)
-    return delta
+        delta.append(np.einsum("ndk,nk->nd", inv_blocks, rhs_l).reshape(-1))
+    return np.concatenate(delta)
+
+
+def _damped_step(ne: NormalEquations, lamda: float, schedule: LmSchedule) -> np.ndarray:
+    if schedule.linear_solver == "dense":
+        return _solve_dense(ne, lamda)
+    return _solve_schur(ne, lamda)
 
 
 def lm_step(
@@ -654,18 +665,13 @@ def lm_step(
     state: State | None = None,
     schedule: LmSchedule | None = None,
 ) -> tuple[np.ndarray, float]:
-    """One damped normal-equation solve; returns (delta, predicted cost reduction)."""
+    """One linearization and damped normal-equation solve; returns (delta,
+    predicted cost reduction)."""
     if lamda <= 0:
         raise ValueError("damping must be positive")
-    schedule = schedule or LmSchedule()
-    state = state or problem.initial_state
-    h, g = problem.linearize(state)
-    damp = _damping_vector(h, lamda, schedule.damping)
-    if schedule.linear_solver == "dense":
-        delta = _solve_dense(h, g, damp)
-    else:
-        delta = _solve_schur(problem, h, g, damp)
-    predicted = float(delta @ (damp * delta) - delta @ g)
+    ne = problem.linearize(state or problem.initial_state)
+    delta = _damped_step(ne, lamda, schedule or LmSchedule())
+    predicted = float(delta @ (lamda * delta) - delta @ ne.g)
     return delta, predicted
 
 
@@ -675,7 +681,8 @@ def optimize(
     """Levenberg-Marquardt loop with multiplicative damping policy.
 
     Accepted iterations never increase the robustified cost; rejected steps
-    raise the damping. Non-convergence is reported, not raised.
+    raise the damping and solve again from the same linearization.
+    Non-convergence is reported, not raised.
     """
     schedule = schedule or LmSchedule()
     state = problem.initial_state.copy()
@@ -694,12 +701,14 @@ def optimize(
         report.final_cost = cost
         return problem.values(state), report
 
-    refresh = schedule.refresh_covariances
+    ne = None  # linearization at ``state``; None once a step moves it
     for it in range(schedule.max_iters):
-        if refresh and it > 0:
-            _refresh_covariances(problem, state)
+        if ne is None:
+            if schedule.refresh_covariances and it > 0:
+                _refresh_covariances(problem, state)
+            ne = problem.linearize(state)
         try:
-            delta, _ = lm_step(problem, lamda, state, schedule)
+            delta = _damped_step(ne, lamda, schedule)
         except SingularSystemError as e:
             report.message = f"singular system: {e}"
             break
@@ -709,6 +718,7 @@ def optimize(
         step_norm = float(np.linalg.norm(delta))
         if accepted:
             state = candidate
+            ne = None
             decrease = cost - new_cost
             cost = new_cost
             lamda = max(lamda / schedule.lambda_down, schedule.lambda_min)
@@ -779,34 +789,22 @@ def hessian_spectrum(
     """Eigenvalues of the selected free diagonal block of the GN matrix J^T W J.
 
     ``selection`` is ("pose" | "point" | "line", ids or None for all free).
-    Fixed blocks have no columns and are excluded.
+    Fixed blocks have no columns and are excluded. Poses, and likewise
+    landmarks, share no term, so the selected blocks are uncoupled and the
+    spectrum is the sorted union of theirs.
     """
-    state = state or problem.initial_state
-    h, _ = problem.linearize(state)
+    ne = problem.linearize(state or problem.initial_state)
     kind, ids = selection
     if kind == "pose":
-        id_list, param, offset, d = problem.kf_ids, problem.pose_param, 0, 6
+        id_list, param, blocks = problem.kf_ids, problem.pose_param, ne.pose
     elif kind == "point":
-        id_list, param, offset, d = (
-            problem.point_ids, problem.point_param, problem.point_offset, 3,
-        )
+        id_list, param, blocks = problem.point_ids, problem.point_param, ne.point
     elif kind == "line":
-        id_list, param, offset, d = (
-            problem.line_ids, problem.line_param, problem.line_offset, 6,
-        )
+        id_list, param, blocks = problem.line_ids, problem.line_param, ne.line
     else:
         raise ValueError(f"unknown block kind {kind!r}")
-    if ids is None:
-        slots = [i for i in range(len(id_list)) if param[i] >= 0]
-    else:
-        slots = [id_list.index(i) for i in ids]
-    cols: list[int] = []
-    for slot in slots:
-        p = param[slot]
-        if p < 0:
-            continue
-        cols.extend(range(offset + d * p, offset + d * p + d))
-    if not cols:
+    slots = range(len(id_list)) if ids is None else [id_list.index(i) for i in ids]
+    params = [param[slot] for slot in slots if param[slot] >= 0]
+    if not params:
         raise EmptyProblemError("selection contains no free parameters")
-    sub = h[np.ix_(cols, cols)]
-    return np.linalg.eigvalsh(sub)
+    return np.sort(np.linalg.eigvalsh(blocks[params]), axis=None)
