@@ -235,6 +235,40 @@ def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
     return out.reshape(count * d, count * d)
 
 
+# Rows per bincount in _segment_sum.
+_SEGMENT_CHUNK = 8192
+
+
+def _segment_sum(index: np.ndarray, values: np.ndarray, count: int) -> np.ndarray:
+    """Rows of ``values`` (N, ...) summed by ``index`` (N,) into (count, ...).
+
+    Rows with index -1 (a fixed block) are dropped. A bincount over the
+    flattened (segment, entry) index adds each segment's rows in row order.
+    It runs over chunks of rows: a whole table's flattened index would take
+    as much memory as its values.
+    """
+    shape = values.shape[1:]
+    width = int(np.prod(shape))
+    segment = np.where(index < 0, count, index)
+    entry = np.arange(width)
+    total = np.zeros((count + 1) * width)
+    for start in range(0, len(index), _SEGMENT_CHUNK):
+        rows = values[start : start + _SEGMENT_CHUNK]
+        flat = (segment[start : start + _SEGMENT_CHUNK, None] * width + entry).reshape(rows.size)
+        total += np.bincount(flat, weights=rows.reshape(rows.size), minlength=total.size)
+    return total[: count * width].reshape(count, *shape)
+
+
+def _normal_rows(j: np.ndarray, wj: np.ndarray, res: np.ndarray) -> np.ndarray:
+    """Per term [J^T W J | (W J)^T r], (N, d, d + 1), from J and W J (N, r, d)
+    and the residuals (N, r)."""
+    n, _, d = j.shape
+    rows = np.empty((n, d, d + 1))
+    np.matmul(j.transpose(0, 2, 1), wj, out=rows[:, :, :d])
+    np.matmul(wj.transpose(0, 2, 1), res[..., None], out=rows[:, :, d:])
+    return rows
+
+
 def _camera_frame(state: State, table: _Table):
     """The terms' landmark points (N, 3), or line endpoints (N, 2, 3), in their
     keyframes' frames, and those keyframes' rotations (N, 3, 3)."""
@@ -374,21 +408,21 @@ class Problem:
                 lm_blocks, coupling = ne.line, ne.w_line
                 g_lm = ne.g[self.line_offset :].reshape(n_ln, 6)
             pose_param = self.pose_param[table.kf_slot]
-            pose_on = pose_param >= 0
-            lm_on = lm_param >= 0
-            both = pose_on & lm_on
 
-            aj_pose = np.einsum("nrs,nsj->nrj", winfo, j_pose)
-            aj_lm = np.einsum("nrs,nsj->nrj", winfo, j_lm)
-            on = pose_param[pose_on]
-            np.add.at(ne.pose, on, np.einsum("nri,nrj->nij", j_pose[pose_on], aj_pose[pose_on]))
-            np.add.at(g_pose, on, np.einsum("nri,nr->ni", aj_pose[pose_on], res[pose_on]))
-            on = lm_param[lm_on]
-            np.add.at(lm_blocks, on, np.einsum("nri,nrj->nij", j_lm[lm_on], aj_lm[lm_on]))
-            np.add.at(g_lm, on, np.einsum("nri,nr->ni", aj_lm[lm_on], res[lm_on]))
-            np.add.at(
-                coupling, (pose_param[both], slice(None), lm_param[both]),
-                np.einsum("nri,nrj->nij", j_pose[both], aj_lm[both]),
+            # per term: J^T W J beside (W J)^T r, for the pose and the landmark
+            wj_pose, wj_lm = winfo @ j_pose, winfo @ j_lm
+            pose_sum = _segment_sum(pose_param, _normal_rows(j_pose, wj_pose, res), k)
+            ne.pose += pose_sum[:, :, :6]
+            g_pose += pose_sum[:, :, 6]
+            lm_sum = _segment_sum(lm_param, _normal_rows(j_lm, wj_lm, res), len(lm_blocks))
+            lm_blocks += lm_sum[:, :, :-1]
+            g_lm += lm_sum[:, :, -1]
+            # A table holds at most one term per (keyframe, landmark), because
+            # a keyframe's point_obs and line_obs are dicts keyed by landmark,
+            # so the fancy index hits each coupling block once and += is exact.
+            both = (pose_param >= 0) & (lm_param >= 0)
+            coupling[pose_param[both], :, lm_param[both]] += (
+                j_pose[both].transpose(0, 2, 1) @ wj_lm[both]
             )
         return ne
 
@@ -625,20 +659,27 @@ def _solve_schur(ne: NormalEquations, lamda: float) -> np.ndarray:
     s[np.diag_indices_from(s)] += lamda
     rhs = -ne.g[:np_pose]
 
+    # Each family is one batched matmul for W·inv, one GEMM for the reduced
+    # matrix and GEMVs for the right-hand sides, over W as (np_pose, count*d).
+    # Sizes are explicit: np_pose or count may be 0, where reshape(-1) fails.
     pieces = []
     offset = np_pose
     for blocks, coupling in ((ne.point, ne.w_point), (ne.line, ne.w_line)):
         count, d, _ = blocks.shape
-        w = coupling.reshape(np_pose, count, d)
-        g_l = ne.g[offset : offset + count * d].reshape(count, d)
+        w = coupling.reshape(np_pose, count * d)
+        g_l = ne.g[offset : offset + count * d]
         offset += count * d
         try:
             inv_blocks = np.linalg.inv(blocks + lamda * np.eye(d))
         except np.linalg.LinAlgError as e:
             raise SingularSystemError(f"landmark block singular: {e}") from e
-        w_inv = np.einsum("ind,ndk->ink", w, inv_blocks)
-        s -= np.einsum("ink,jnk->ij", w_inv, w)
-        rhs += np.einsum("ink,nk->i", w_inv, g_l)
+        # W·inv written straight into the (np_pose, count*d) layout the GEMM reads
+        w_inv = np.empty((np_pose, count, d))
+        np.matmul(w.reshape(np_pose, count, d).transpose(1, 0, 2), inv_blocks,
+                  out=w_inv.transpose(1, 0, 2))
+        w_inv = w_inv.reshape(np_pose, count * d)
+        s -= w_inv @ w.T
+        rhs += w_inv @ g_l
         pieces.append((w, inv_blocks, g_l))
 
     try:
@@ -648,8 +689,9 @@ def _solve_schur(ne: NormalEquations, lamda: float) -> np.ndarray:
 
     delta = [x_pose]
     for w, inv_blocks, g_l in pieces:
-        rhs_l = -g_l - np.einsum("ind,i->nd", w, x_pose)
-        delta.append(np.einsum("ndk,nk->nd", inv_blocks, rhs_l).reshape(-1))
+        count, d, _ = inv_blocks.shape
+        rhs_l = (-g_l - x_pose @ w).reshape(count, d, 1)
+        delta.append(np.matmul(inv_blocks, rhs_l).reshape(count * d))
     return np.concatenate(delta)
 
 

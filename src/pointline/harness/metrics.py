@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..ba import MapValues, OptimizationReport
-from ..geometry import Se3Pose, project
+from ..geometry import Se3Pose, project_batch
 from ..sparse_map import SparseMap
 from .scene import GroundTruth
 
@@ -109,16 +109,21 @@ def evaluate_solution(
             endpoint_rows.append((abs(along), perp, float(np.linalg.norm(err))))
     endpoint_errors = np.array(endpoint_rows).reshape(-1, 3)
 
+    # per keyframe, its observed points that have values, in observation order;
+    # points at z <= 1e-6 in the camera are skipped
     reproj_sq = []
     for kf_id, kf in smap.keyframes.items():
         pose = values.poses[kf_id]
-        for pid, obs in kf.point_obs.items():
-            if pid not in values.points:
-                continue
-            x_c = pose.transform(values.points[pid])
-            if x_c[2] <= 1e-6:
-                continue
-            reproj_sq.extend(((obs.pixel - project(smap.intrinsics, x_c)) ** 2).tolist())
+        seen = [(values.points[pid], obs.pixel) for pid, obs in kf.point_obs.items()
+                if pid in values.points]
+        if not seen:
+            continue
+        points, pixels = (np.array(col) for col in zip(*seen))
+        x_c = points @ pose.rotation.T + pose.translation
+        front = ~(x_c[:, 2] <= 1e-6)
+        err = pixels[front] - project_batch(smap.intrinsics, x_c[front])
+        reproj_sq.append((err ** 2).reshape(-1))
+    reproj_sq = np.concatenate(reproj_sq) if reproj_sq else np.zeros(0)
 
     def rms(values_sq) -> float:
         return float(np.sqrt(np.mean(values_sq))) if len(values_sq) else 0.0

@@ -662,3 +662,109 @@ def test_optimize_with_covariance_refresh_is_finite():
     _, report = optimize(problem, LmSchedule(max_iters=8, refresh_covariances=True))
     assert np.isfinite(report.final_cost)
     assert report.final_cost <= report.initial_cost
+
+
+# -- block accumulation and the Schur solve ------------------------------------------
+
+
+def _add_at_normal_equations(problem, state):
+    """H blocks and g by per-term einsum products and np.add.at."""
+    from pointline.noise import robust_weight_batch
+
+    k, n_pt, n_ln = problem.n_free_poses, problem.n_free_points, problem.n_free_lines
+    pose, g_pose = np.zeros((k, 6, 6)), np.zeros((k, 6))
+    lm = {"point": np.zeros((n_pt, 3, 3)), "line": np.zeros((n_ln, 6, 6))}
+    g_lm = {"point": np.zeros((n_pt, 3)), "line": np.zeros((n_ln, 6))}
+    coupling = {"point": np.zeros((k, 6, n_pt, 3)), "line": np.zeros((k, 6, n_ln, 6))}
+    for table in problem.tables:
+        family = "point" if table.kind.startswith("point") else "line"
+        res, _ = problem._residuals(state, table)
+        _, w = robust_weight_batch(table.kernel, np.einsum("ni,nij,nj->n", res, table.info, res))
+        winfo = w[:, None, None] * table.info
+        j_pose, j_lm = problem._jacobians(state, table)
+        pose_param = problem.pose_param[table.kf_slot]
+        lm_param = (problem.point_param if family == "point" else problem.line_param)[table.lm_slot]
+        p_on, l_on = pose_param >= 0, lm_param >= 0
+        both = p_on & l_on
+        np.add.at(pose, pose_param[p_on],
+                  np.einsum("nri,nrs,nsj->nij", j_pose, winfo, j_pose)[p_on])
+        np.add.at(g_pose, pose_param[p_on], np.einsum("nri,nrs,ns->ni", j_pose, winfo, res)[p_on])
+        np.add.at(lm[family], lm_param[l_on],
+                  np.einsum("nri,nrs,nsj->nij", j_lm, winfo, j_lm)[l_on])
+        np.add.at(g_lm[family], lm_param[l_on], np.einsum("nri,nrs,ns->ni", j_lm, winfo, res)[l_on])
+        np.add.at(coupling[family], (pose_param[both], slice(None), lm_param[both]),
+                  np.einsum("nri,nrs,nsj->nij", j_pose, winfo, j_lm)[both])
+    g = np.concatenate([g_pose.reshape(-1), g_lm["point"].reshape(-1), g_lm["line"].reshape(-1)])
+    return dict(pose=pose, point=lm["point"], line=lm["line"], w_point=coupling["point"],
+                w_line=coupling["line"], g=g)
+
+
+def test_linearize_matches_add_at_oracle():
+    from pointline.ba import Problem
+
+    cfg = scene_config(keyframes=6, points=40, lines=8, seed=4, noise_scale=1.0,
+                       perturb_translation=0.02, perturb_rotation_deg=1.0,
+                       perturb_points=0.02, perturb_lines=0.02, mono_fraction_points=0.3)
+    _, smap = generate_scene(cfg)
+    base = assemble_problem(smap, BaConfig(cov_mode="propagated_cov"))
+    # poses 0 and 3 fixed, every third point fixed, every line fixed: the line
+    # family is empty while its terms still load the poses
+    pose_free = np.ones(len(base.kf_ids), dtype=bool)
+    pose_free[[0, 3]] = False
+    point_free = np.arange(len(base.point_ids)) % 3 != 0
+    line_free = np.zeros(len(base.line_ids), dtype=bool)
+    problem = Problem(base.intrinsics, base.kf_ids, base.point_ids, base.line_ids,
+                      base.initial_state, pose_free, point_free, line_free, base.tables,
+                      base.config)
+    assert {t.kind for t in problem.tables} >= {"point_mono", "point_stereo", "line_2d", "line_3d"}
+    assert problem.n_free_lines == 0 and len(base.line_ids) > 0
+    state = problem.retract(problem.initial_state,
+                            np.random.default_rng(1).normal(size=problem.n_params) * 1e-3)
+    ne = problem.linearize(state)
+    expected = _add_at_normal_equations(problem, state)
+    for name, want in expected.items():
+        got = getattr(ne, name)
+        assert got.shape == want.shape, name
+        assert np.abs(got - want).max(initial=0.0) <= 1e-12 * np.abs(want).max(initial=0.0), name
+    assert ne.line.shape == (0, 6, 6) and ne.w_line.shape == (4, 6, 0, 6)
+
+
+def test_assembled_tables_have_one_term_per_keyframe_and_landmark():
+    from pointline.harness.experiments import ba_config
+
+    cfg = HarnessConfig(seed=0)
+    _, smap = generate_scene(cfg)
+    problem = assemble_problem(smap, ba_config(cfg))
+    for table in problem.tables:
+        pairs = table.kf_slot.astype(np.int64) * (len(problem.point_ids) + len(problem.line_ids)) + table.lm_slot
+        assert len(np.unique(pairs)) == len(table), table.kind
+
+
+def _schur_dense_rel(problem, lam):
+    d_dense, p_dense = lm_step(problem, lam, schedule=LmSchedule(linear_solver="dense"))
+    d_schur, p_schur = lm_step(problem, lam, schedule=LmSchedule(linear_solver="schur"))
+    assert d_schur.shape == (problem.n_params,)
+    return (np.linalg.norm(d_schur - d_dense) / np.linalg.norm(d_dense),
+            abs(p_schur - p_dense) / abs(p_dense))
+
+
+@pytest.mark.parametrize("fixing", ["fix_all_poses", "fix_points", "fix_lines"])
+def test_schur_matches_dense_with_an_empty_family(fixing):
+    _, smap = generate_scene(scene_config(noise_scale=1.0, perturb_translation=0.02,
+                                          perturb_rotation_deg=1.0, perturb_points=0.02,
+                                          perturb_lines=0.02))
+    problem = assemble_problem(smap, BaConfig(**{fixing: True}))
+    empty = {"fix_all_poses": problem.n_free_poses, "fix_points": problem.n_free_points,
+             "fix_lines": problem.n_free_lines}
+    assert empty[fixing] == 0
+    for lam in (1e-6, 1e-2, 1.0):
+        assert max(_schur_dense_rel(problem, lam)) < 1e-9
+
+
+def test_schur_matches_dense_on_cli_default_scene():
+    from pointline.harness.experiments import ba_config
+
+    cfg = HarnessConfig(seed=0)
+    _, smap = generate_scene(cfg)
+    problem = assemble_problem(smap, ba_config(cfg))
+    assert max(_schur_dense_rel(problem, 1e-4)) < 1e-9

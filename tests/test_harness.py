@@ -114,6 +114,44 @@ def test_metrics_decomposition_invariant():
     assert np.all(np.abs(err[:, 0] ** 2 + err[:, 1] ** 2 - err[:, 2] ** 2) < 1e-9)
 
 
+def test_reprojection_rmse_matches_per_observation_projection():
+    from pointline.geometry import project
+
+    cfg = small_cfg(noise_scale=1.0)
+    truth, smap = generate_scene(cfg)
+    problem = assemble_problem(smap, ba_config(cfg))
+    values = problem.values(problem.initial_state)
+    kf_ids = sorted(smap.keyframes)
+    # every point of one keyframe absent from values (and from the truth,
+    # whose points the point RMSE reads)
+    gone = set(smap.keyframes[kf_ids[4]].point_obs)
+    for pid in gone:
+        del values.points[pid]
+    truth = dataclasses.replace(
+        truth, points={pid: x for pid, x in truth.points.items() if pid not in gone}
+    )
+    # one point moved 1 m behind the camera of another keyframe
+    behind = values.poses[kf_ids[0]]
+    moved = next(pid for pid in smap.keyframes[kf_ids[0]].point_obs if pid not in gone)
+    values.points[moved] = behind.inverse().transform(np.array([0.0, 0.0, -1.0]))
+
+    sq, skipped = [], 0
+    for kf_id, kf in smap.keyframes.items():
+        pose = values.poses[kf_id]
+        for pid, obs in kf.point_obs.items():
+            if pid not in values.points:
+                continue
+            x_c = pose.transform(values.points[pid])
+            if x_c[2] <= 1e-6:
+                skipped += 1
+                continue
+            sq.extend((obs.pixel - project(smap.intrinsics, x_c)) ** 2)
+    assert skipped >= 1
+    expected = float(np.sqrt(np.mean(sq)))
+    rep = evaluate_solution(truth, smap, values, None, "oracle")
+    assert abs(rep.reprojection_rmse - expected) <= 1e-12 * expected
+
+
 def test_gauge_alignment_fixes_first_pose():
     cfg = small_cfg()
     truth, smap = generate_scene(cfg)
